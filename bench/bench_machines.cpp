@@ -72,22 +72,14 @@ struct Variant {
   bool Reuse = false;
 };
 
-// The Value representation is a compile-time axis (CMake option
-// MONSEM_VALUE_BOXED), orthogonal to the environment-representation
-// variants above, so the lexical+recycling cell is labeled by the Value
-// its binary was compiled with: `resolved` is the historical 16-byte
-// boxed baseline, `tagged` the 8-byte word (the default build). The
-// committed BENCH_machines.json concatenates a -DMONSEM_VALUE_BOXED=ON
-// run (seed / legacy+recycle / resolved rows) with the tagged rows of a
-// default run, so the two representations sit side by side per workload.
+// The lexical+recycling cell is labeled `tagged` after the 8-byte Value
+// word. The committed BENCH_machines.json also keeps historical
+// `resolved` rows from the retired 16-byte boxed Value build; they stay
+// as data (see EXPERIMENTS.md).
 constexpr Variant kVariants[] = {
     {"seed", false, false},
     {"legacy+recycle", false, true},
-#ifdef MONSEM_VALUE_BOXED
-    {"resolved", true, true},
-#else
     {"tagged", true, true},
-#endif
 };
 
 struct Workload {
@@ -255,14 +247,8 @@ void reportLexical(JsonlWriter &W, bool Quick) {
   printRule();
   std::printf("seed = named env chain, no recycling; %s = lexical "
               "addresses + flat\nframes + continuation-frame free list "
-              "(compiled with the %s Value).\n\n",
-              kVariants[2].Name,
-#ifdef MONSEM_VALUE_BOXED
-              "16-byte boxed"
-#else
-              "8-byte tagged"
-#endif
-  );
+              "(8-byte tagged Value).\n\n",
+              kVariants[2].Name);
 
   // Strategies under both representations: laziness allocates thunks that
   // close over the environment, so the flat-frame representation must not

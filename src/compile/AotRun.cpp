@@ -33,8 +33,6 @@
 using namespace monsem;
 using namespace monsem::regvm_impl;
 
-#ifndef MONSEM_VALUE_BOXED
-
 // The emitted C hard-codes these layouts (see kPrelude in AotEmit.cpp).
 static_assert(sizeof(Value) == 8, "native tier requires one-word Values");
 static_assert(offsetof(VMClosure, Block) == 0, "emitted CL_BLOCK offset");
@@ -289,7 +287,7 @@ RunResult AotVM::run() {
     }
     StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
   }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
+  Governor Gov(Opts.Limits, StepBase,
                Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
   A.setByteLimit(Gov.arenaByteCap());
   if (!Opts.ResumeFrom) {
@@ -317,15 +315,3 @@ RunResult monsem::runAotProgram(const RegProgram &RP, const AotLibrary &Lib,
   AotVM M(RP, Lib, Hooks, Opts);
   return M.run();
 }
-
-#else // MONSEM_VALUE_BOXED
-
-// The native tier is emitted against the tagged one-word Value encoding;
-// boxed builds never load a library (aotLoad refuses), so the driver just
-// degrades to the register interpreter.
-RunResult monsem::runAotProgram(const RegProgram &RP, const AotLibrary &,
-                                MonitorHooks *Hooks, RunOptions Opts) {
-  return runRegisterProgram(RP, Hooks, Opts);
-}
-
-#endif // MONSEM_VALUE_BOXED

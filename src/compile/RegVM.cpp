@@ -145,7 +145,7 @@ RunResult RegVM::run() {
     }
     StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
   }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
+  Governor Gov(Opts.Limits, StepBase,
                Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
   A.setByteLimit(Gov.arenaByteCap());
   if (!Opts.ResumeFrom) {

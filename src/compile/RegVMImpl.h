@@ -279,9 +279,6 @@ protected:
     H.Strategy = static_cast<uint8_t>(Strategy::Strict);
     H.Lexical = false;
     H.Monitored = Hooks != nullptr;
-#ifdef MONSEM_VALUE_BOXED
-    H.BoxedValues = true;
-#endif
     H.ProgramFingerprint = fingerprint();
     H.SavedSteps = Steps - I.Cost;
     Serializer S = Checkpoint::begin(H);

@@ -4,6 +4,7 @@
 
 #include "compile/AotEmit.h"
 #include "compile/Compiler.h"
+#include "interp/Eval.h"
 #include "semantics/Primitives.h"
 #include "semantics/ValueGraph.h"
 #include "support/Checkpoint.h"
@@ -91,9 +92,6 @@ private:
     H.Strategy = static_cast<uint8_t>(Strategy::Strict);
     H.Lexical = false;
     H.Monitored = Hooks != nullptr;
-#ifdef MONSEM_VALUE_BOXED
-    H.BoxedValues = true;
-#endif
     H.ProgramFingerprint = fingerprint();
     H.SavedSteps = Steps - I.Cost;
     Serializer S = Checkpoint::begin(H);
@@ -436,7 +434,7 @@ RunResult VM::run() {
     // boundaries measure steps since the resume point (fresh budget).
     StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
   }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
+  Governor Gov(Opts.Limits, StepBase,
                Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
   A.setByteLimit(Gov.arenaByteCap());
   if (!Opts.ResumeFrom) {
@@ -473,64 +471,5 @@ RunResult monsem::runCompiled(const CompiledProgram &Program,
 
 RunResult monsem::evaluateCompiled(const Cascade &C, const Expr *Program,
                                    RunOptions Opts) {
-  DurabilityTracker Tracker(Opts.DurabilityPolicy, Opts.DurabilityRetryBudget);
-  armDurabilityTracker(Opts, Tracker);
-  armJournalCheckpointSink(Opts);
-  DiagnosticSink Diags;
-  if (!C.empty() && !C.validateFor(Program, Diags)) {
-    RunResult R;
-    R.Error = Diags.str();
-    return R;
-  }
-  CompileOptions CO;
-  CO.Instrument = !C.empty();
-  std::unique_ptr<CompiledProgram> CP = compileProgram(Program, Diags, CO);
-  if (!CP) {
-    RunResult R;
-    R.Error = Diags.str();
-    return R;
-  }
-  // Register tier: lower after compilation; a program the lowering pass
-  // cannot encode (pathological nesting depth) falls back to the stack VM
-  // — same observable behavior either way.
-  std::unique_ptr<RegProgram> RP;
-  if (Opts.VMRegister || Opts.VMAot)
-    RP = lowerToRegisters(*CP);
-  // Native tier on top of the lowering: load (emit + compile + cache) the
-  // leaf-block library; any reason it cannot be used — no C compiler,
-  // boxed Values, nothing eligible — degrades to the register interpreter
-  // with identical observable behavior.
-  std::shared_ptr<const AotLibrary> AotLib;
-  if (Opts.VMAot && RP)
-    AotLib = aotLoad(*RP, Opts.AotCacheDir, nullptr);
-  auto Run = [&](MonitorHooks *H) {
-    if (AotLib)
-      return runAotProgram(*RP, *AotLib, H, Opts);
-    return RP ? runRegisterProgram(*RP, H, Opts) : runCompiled(*CP, H, Opts);
-  };
-  if (C.empty()) {
-    RunResult R = Run(nullptr);
-    R.DurabilityFaults = Opts.Durability->takeFaults();
-    return R;
-  }
-  // Hook chain, outermost first: journal -> event tap -> cascade (same
-  // order as the CEK driver in Eval.cpp, so streams match across tiers).
-  RuntimeCascade RC(C, Opts.MonitorFaultPolicy, Opts.MonitorRetryBudget);
-  std::unique_ptr<EventTapHooks> ET;
-  std::unique_ptr<JournalingHooks> JH;
-  MonitorHooks *Hooks = &RC;
-  if (Opts.EventSink) {
-    ET = std::make_unique<EventTapHooks>(*Hooks, Opts.EventSink);
-    Hooks = ET.get();
-  }
-  if (Opts.RunJournal) {
-    JH = std::make_unique<JournalingHooks>(*Hooks, *Opts.RunJournal,
-                                           Opts.Durability);
-    Hooks = JH.get();
-  }
-  RunResult R = Run(Hooks);
-  R.FinalStates = RC.takeStates();
-  R.MonitorFaults = RC.takeFaults();
-  R.DurabilityFaults = Opts.Durability->takeFaults();
-  return R;
+  return evaluateOn(Backend::VM, C, Program, std::move(Opts));
 }

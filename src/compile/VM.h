@@ -23,7 +23,7 @@
 namespace monsem {
 
 /// Runs \p Program on the VM. \p Hooks may be null (standard semantics).
-/// Honors RunOptions::MaxSteps/Limits, Algebra, VMThreaded (token-threaded
+/// Honors RunOptions::Limits, Algebra, VMThreaded (token-threaded
 /// vs. switch dispatch) and ReuseTailFrames (self-tail-call env reuse);
 /// the strategy is always strict. Each instruction advances the step
 /// counter by its Cost (its source-step count), so fused and unfused
@@ -45,8 +45,8 @@ RunResult runRegisterProgram(const RegProgram &RP,
 /// the portable switch loop always runs.
 bool vmThreadedDispatchAvailable();
 
-/// Convenience: compile-and-run under a cascade, mirroring
-/// evaluate(Cascade, Expr). Validates disjointness first.
+/// Convenience: the run driver (evaluateOn in interp/Eval.h) on the stack
+/// VM backend.
 RunResult evaluateCompiled(const Cascade &C, const Expr *Program,
                            RunOptions Opts = {});
 

@@ -210,7 +210,7 @@ public:
 
   ImpRunResult run() {
     ImpRunResult R;
-    Governor Gov(Opts.Limits, Opts.MaxSteps);
+    Governor Gov(Opts.Limits);
     A.setByteLimit(Gov.arenaByteCap());
     GovPtr = &Gov;
     try {

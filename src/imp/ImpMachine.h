@@ -32,12 +32,11 @@
 namespace monsem {
 
 struct ImpRunOptions {
-  uint64_t MaxSteps = 0;       ///< 0 = unlimited (commands + expr nodes).
   unsigned MaxExprDepth = 8000; ///< C-stack guard for expression recursion.
   /// The program's input stream, consumed by `read x` (integers).
   std::vector<int64_t> Input;
-  /// Resource budget beyond fuel (deadline, arena cap, depth bound,
-  /// cancellation). Limits.MaxSteps supersedes MaxSteps above when nonzero;
+  /// Resource budget: fuel (Limits.MaxSteps; commands and expression nodes
+  /// each cost one unit), deadline, arena cap, depth bound, cancellation.
   /// Limits.MaxDepth bounds both the command work stack and expression
   /// recursion depth.
   ResourceLimits Limits;

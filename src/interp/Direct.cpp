@@ -2,7 +2,36 @@
 
 #include "interp/Direct.h"
 
+#include <algorithm>
+
+#include <pthread.h>
+
 using namespace monsem;
+
+uintptr_t monsem::directStackFloor() {
+#if defined(__linux__)
+  thread_local const uintptr_t Floor = [] {
+    pthread_attr_t Attr;
+    if (pthread_getattr_np(pthread_self(), &Attr) != 0)
+      return uintptr_t(0);
+    void *Low = nullptr;
+    size_t Size = 0;
+    int Err = pthread_attr_getstack(&Attr, &Low, &Size);
+    pthread_attr_destroy(&Attr);
+    if (Err != 0 || !Low)
+      return uintptr_t(0);
+    // An eighth of the stack, within [256 KiB, 4 MiB]: comfortably more
+    // than one valuation call's nesting even with a deep cascade and
+    // sanitizer-sized frames, and never most of a small thread stack.
+    size_t Margin = std::min(std::clamp<size_t>(Size / 8, 256 << 10, 4 << 20),
+                             Size / 2);
+    return reinterpret_cast<uintptr_t>(Low) + Margin;
+  }();
+  return Floor;
+#else
+  return 0;
+#endif
+}
 
 DirectValuation monsem::fixpoint(DirectFunctional G) {
   // The recursive references inside the knot are non-owning: if Self held

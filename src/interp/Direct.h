@@ -40,6 +40,10 @@
 
 namespace monsem {
 
+/// The calling thread's stack bottom (pthread_getattr_np) plus a safety
+/// margin; 0 (no guard) when unknown. Computed once per thread.
+uintptr_t directStackFloor();
+
 /// Shared mutable context of one direct-interpretation run: the arena, the
 /// final answer slot, failure state, and the call budget.
 struct DirectContext {
@@ -48,11 +52,15 @@ struct DirectContext {
   /// stack until the final continuation fires, so the budget bounds the
   /// peak C-stack depth as well as the work — it doubles as this
   /// evaluator's depth bound (ResourceLimits::MaxDepth has no separate
-  /// meaning here).
+  /// meaning here), with StackFloor as the hard backstop.
   uint64_t CallBudget = 15000;
   /// Optional resource governor (deadline, arena cap, cancellation);
   /// checked from charge(), one compare per valuation call.
   Governor *Gov = nullptr;
+  /// A valuation call whose frame lies below this address stops the run
+  /// with Outcome::DepthExceeded before the C stack overflows. Must belong
+  /// to the thread that runs the valuation.
+  uintptr_t StackFloor = directStackFloor();
 
   // Run state.
   uint64_t Calls = 0;
@@ -74,12 +82,17 @@ struct DirectContext {
     Error = std::move(Msg);
   }
 
-  /// Charges one valuation call; false when out of budget or stopped by
-  /// the governor.
+  /// Charges one valuation call; false when out of budget, out of C
+  /// stack, or stopped by the governor.
   bool charge() {
     ++Calls;
     if (CallBudget && Calls > CallBudget) {
       Exhausted = true;
+      return false;
+    }
+    if (reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+        StackFloor) {
+      Stop = Outcome::DepthExceeded;
       return false;
     }
     if (Gov && Calls >= Gov->nextPause()) {

@@ -20,22 +20,25 @@
 ///   evaluate(tracer & maxSteps(100'000) & onMonitorFault(FaultPolicy::Abort),
 ///            P.root());
 ///
-/// Every combination funnels into the one evaluate(EvalMode, Expr*) entry,
-/// which assembles a single RunOptions (EvalMode::runOptions()) and routes
-/// to the CEK machine, the bytecode VM, or the direct CPS interpreter.
-/// Plain `evaluate(expr)` runs the standard semantics.
+/// Every spelling funnels into one run driver (evaluateOn), which checks
+/// the backend's capabilities, arms durability, validates the cascade,
+/// builds the probe hook chain, and only then hands the run to the CEK
+/// machine, a bytecode tier, or the direct CPS interpreter. Plain
+/// `evaluate(expr)` runs the standard semantics.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MONSEM_INTERP_EVAL_H
 #define MONSEM_INTERP_EVAL_H
 
+#include "interp/Backend.h"
 #include "interp/Machine.h"
 #include "monitor/Cascade.h"
 #include "syntax/Parser.h"
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -70,16 +73,6 @@ struct StrategyTag {
 inline constexpr StrategyTag kStrict{Strategy::Strict};
 inline constexpr StrategyTag kByName{Strategy::CallByName};
 inline constexpr StrategyTag kByNeed{Strategy::CallByNeed};
-
-/// Which evaluator executes the program.
-enum class Backend : uint8_t {
-  CEK,        ///< The production CEK machine (all three strategies).
-  VM,         ///< Compile to bytecode, run on the stack VM (strict only).
-  VMRegister, ///< Compile, lower to the register tier, run (strict only).
-  VMAot,      ///< Register tier + native code for leaf blocks (strict
-              ///< only); degrades to VMRegister without a C compiler.
-  Direct,     ///< The definitional CPS interpreter (strict only).
-};
 
 /// Backend selectors composable with `&`.
 struct BackendTag {
@@ -220,33 +213,14 @@ inline FailPointsTag failpointsSpec(std::string Spec) {
 }
 
 /// The argument of the paper's `evaluate (profile & debug & strict) prog`,
-/// extended: a cascade plus everything else a run is configured with — the
-/// strategy, the resource budget, the monitor fault policy, and the
-/// backend. Built up by `&` from monitors and the tags above; every
-/// ingredient is optional and later occurrences win.
-struct EvalMode {
+/// extended: a cascade and a backend on top of the run's RunOptions (the
+/// strategy, the resource budget, the fault and durability policies, the
+/// sinks). Built up by `&` from monitors and the tags above; every
+/// ingredient is optional and later occurrences win. Flags, `&` chains and
+/// the driver share the one RunOptions definition, so they cannot skew.
+struct EvalMode : RunOptions {
   Cascade C;
-  Strategy Strat = Strategy::Strict;
-  ResourceLimits Limits;
   Backend B = Backend::CEK;
-  bool Lexical = true;
-  FaultPolicy MonitorFaultPolicy = FaultPolicy::Quarantine;
-  unsigned MonitorRetryBudget = 3;
-  const Checkpoint *ResumeFrom = nullptr;
-  std::function<void(const Checkpoint &)> CheckpointSink;
-  bool CheckpointOnStop = false;
-  uint64_t CheckpointEveryNSteps = 0;
-  std::function<void(uint64_t, const std::string &)> EventSink;
-  Journal *RunJournal = nullptr;
-  OnDurabilityFailure DurabilityPolicy = OnDurabilityFailure::RetryThenDegrade;
-  unsigned DurabilityRetryBudget = 3;
-  std::string FailPointSpec;
-  /// Embedder-owned durability tracker (optional; the CLI installs one so
-  /// the file sink it builds can report into it). Must outlive the run.
-  DurabilityTracker *Durability = nullptr;
-  /// Cache directory for vm-aot shared objects; "" selects the per-user
-  /// default under TMPDIR (see compile/AotEmit.h).
-  std::string AotCacheDir;
 
   EvalMode() = default;
   // Implicit conversions so any single ingredient is already a mode and
@@ -254,46 +228,42 @@ struct EvalMode {
   // evaluate(profiler & deadlineMs(50), p), ...
   EvalMode(const Monitor &M) { C.use(M); }
   EvalMode(Cascade C) : C(std::move(C)) {}
-  EvalMode(StrategyTag T) : Strat(T.S) {}
+  EvalMode(StrategyTag T) { Strat = T.S; }
   EvalMode(BackendTag T) : B(T.B) {}
-  EvalMode(EnvRepTag T) : Lexical(T.Lexical) {}
-  EvalMode(LimitsTag T) : Limits(T.L) {}
-  EvalMode(FaultPolicyTag T)
-      : MonitorFaultPolicy(T.P), MonitorRetryBudget(T.RetryBudget) {}
-  EvalMode(ResumeTag T) : ResumeFrom(T.CK) {}
-  EvalMode(CheckpointTag T)
-      : CheckpointSink(std::move(T.Sink)), CheckpointOnStop(T.OnStop),
-        CheckpointEveryNSteps(T.EveryNSteps) {}
-  EvalMode(JournalTag T) : RunJournal(T.J) {}
-  EvalMode(EventsTag T) : EventSink(std::move(T.Sink)) {}
-  EvalMode(DurabilityPolicyTag T)
-      : DurabilityPolicy(T.P), DurabilityRetryBudget(T.RetryBudget) {}
-  EvalMode(FailPointsTag T) : FailPointSpec(std::move(T.Spec)) {}
-
-  /// The one place an EvalMode becomes a RunOptions. The CLI and the
-  /// embedded API both funnel through here, so flags and `&` chains cannot
-  /// skew.
-  RunOptions runOptions() const {
-    RunOptions O;
-    O.Strat = Strat;
-    O.Limits = Limits;
-    O.Lexical = Lexical;
-    O.MonitorFaultPolicy = MonitorFaultPolicy;
-    O.MonitorRetryBudget = MonitorRetryBudget;
-    O.ResumeFrom = ResumeFrom;
-    O.CheckpointSink = CheckpointSink;
-    O.CheckpointOnStop = CheckpointOnStop;
-    O.CheckpointEveryNSteps = CheckpointEveryNSteps;
-    O.EventSink = EventSink;
-    O.RunJournal = RunJournal;
-    O.DurabilityPolicy = DurabilityPolicy;
-    O.DurabilityRetryBudget = DurabilityRetryBudget;
-    O.FailPointSpec = FailPointSpec;
-    O.Durability = Durability;
-    O.AotCacheDir = AotCacheDir;
-    return O;
+  EvalMode(EnvRepTag T) { Lexical = T.Lexical; }
+  EvalMode(LimitsTag T) { Limits = T.L; }
+  EvalMode(FaultPolicyTag T) {
+    MonitorFaultPolicy = T.P;
+    MonitorRetryBudget = T.RetryBudget;
   }
+  EvalMode(ResumeTag T) { ResumeFrom = T.CK; }
+  EvalMode(CheckpointTag T) {
+    CheckpointSink = std::move(T.Sink);
+    CheckpointOnStop = T.OnStop;
+    CheckpointEveryNSteps = T.EveryNSteps;
+  }
+  EvalMode(JournalTag T) { RunJournal = T.J; }
+  EvalMode(EventsTag T) { EventSink = std::move(T.Sink); }
+  EvalMode(DurabilityPolicyTag T) {
+    DurabilityPolicy = T.P;
+    DurabilityRetryBudget = T.RetryBudget;
+  }
+  EvalMode(FailPointsTag T) { FailPointSpec = std::move(T.Spec); }
+
+  /// The run's options without the cascade and the backend.
+  const RunOptions &runOptions() const { return *this; }
 };
+
+/// Whether \p O asks for anything only a BackendCaps::Durable backend
+/// provides: resume, a checkpoint sink or schedule, a journal, an event tap.
+bool needsDurable(const RunOptions &O);
+
+/// Why \p M cannot run as configured — a strict-only backend under a lazy
+/// strategy, or needsDurable() on a backend without durability — as an
+/// error message; "" when it can. The driver refuses exactly these runs.
+/// \p AddsJournal counts a journal the caller attaches only once the
+/// check has passed, so a refused run leaves no journal file behind.
+std::string capabilityError(const EvalMode &M, bool AddsJournal = false);
 
 namespace detail {
 /// Field-wise merge: nonzero/non-null fields of \p From win.
@@ -375,14 +345,25 @@ inline EvalMode operator&(EvalMode M, FailPointsTag T) {
 
 /// Standard semantics: no monitoring, annotations skipped.
 RunResult evaluate(const Expr *Program, RunOptions Opts = {});
+/// A mode here would be sliced to its RunOptions, silently dropping its
+/// cascade and backend; the mode goes first: evaluate(Mode, Program).
+RunResult evaluate(const Expr *Program, const EvalMode &Mode) = delete;
 
-/// The Section 9.2 spelling: the unified entry. Assembles RunOptions via
-/// EvalMode::runOptions() and routes to the selected backend — the CEK
-/// machine (MachineT::run), the bytecode compiler + VM (runCompiled), or
-/// the direct CPS interpreter (runDirect). The VM and Direct backends are
-/// strict-only; selecting them with a lazy strategy yields an error result
-/// without running.
+/// The Section 9.2 spelling: runs the driver on the mode's backend and
+/// cascade.
 RunResult evaluate(const EvalMode &Mode, const Expr *Program);
+
+/// The run driver behind every evaluate() spelling: checks backendCaps(B),
+/// arms durability and failpoints, validates \p C, builds the journal ->
+/// event tap -> cascade hook chain, runs the backend (a plain executor),
+/// and attaches final monitor states and faults to the result.
+RunResult evaluateOn(Backend B, const Cascade &C, const Expr *Program,
+                     RunOptions Opts);
+
+/// \p M resumed from \p CK under the backend and strategy recorded in the
+/// checkpoint header (the CLI's `--resume`, serve's crash recovery). A VM
+/// checkpoint is tier-portable: a vm-reg or vm-aot mode keeps its tier.
+EvalMode resumeAsWritten(EvalMode M, const Checkpoint &CK);
 
 /// Renders final monitor states like the paper does, one per line:
 ///   profiler: [fac -> 4, mul -> 3]

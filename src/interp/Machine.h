@@ -79,8 +79,6 @@ const char *strategyName(Strategy S);
 
 struct RunOptions {
   Strategy Strat = Strategy::Strict;
-  /// 0 = unlimited. Each machine transition costs one unit.
-  uint64_t MaxSteps = 0;
   /// The answer algebra phi used by the initial continuation (Section 3.1).
   const AnswerAlgebra *Algebra = &StdAnswerAlgebra::instance();
   /// Use the lexically-addressed machine when the program resolves (driver
@@ -89,9 +87,8 @@ struct RunOptions {
   /// Recycle popped continuation frames through the free list. Off gives
   /// the allocation behavior of the unoptimized machine (benchmarks).
   bool RecycleFrames = true;
-  /// Resource budget beyond fuel: deadline, arena cap, depth bound,
-  /// cooperative cancellation. Limits.MaxSteps supersedes MaxSteps above
-  /// when nonzero.
+  /// Resource budget: fuel (Limits.MaxSteps; each machine transition costs
+  /// one unit), deadline, arena cap, depth bound, cooperative cancellation.
   ResourceLimits Limits;
   /// Run-wide default for what happens when a monitor hook throws;
   /// per-monitor overrides come from Cascade::use(M, Policy).
@@ -106,18 +103,6 @@ struct RunOptions {
   /// supports it (see vmThreadedDispatchAvailable()); off selects the
   /// portable switch loop. Benchmarks compare the two.
   bool VMThreaded = true;
-  /// Run compiled programs on the register tier (lowered three-address
-  /// bytecode with register-window frames) instead of the stack VM.
-  /// Observable behavior — answers, step counts, probe event streams,
-  /// checkpoints — is identical; only speed and arena accounting differ.
-  /// Falls back to the stack VM for programs the lowering pass cannot
-  /// encode (pathological nesting depth).
-  bool VMRegister = false;
-  /// On top of VMRegister: run leaf blocks as native code compiled by the
-  /// system C compiler (`--backend=vm-aot`). Degrades to the register
-  /// interpreter when no compiler is available or the program has no
-  /// eligible blocks; observable behavior is identical either way.
-  bool VMAot = false;
   /// Cache directory for vm-aot shared objects; "" selects the per-user
   /// default under TMPDIR (see compile/AotEmit.h).
   std::string AotCacheDir;
@@ -163,44 +148,6 @@ struct RunOptions {
   /// The pointee must outlive the run.
   DurabilityTracker *Durability = nullptr;
 };
-
-/// When \p O has a journal armed, rewrite its CheckpointSink so every
-/// emitted checkpoint is appended to the journal first (each append is
-/// flushed, so the checkpoint is durable even if the original sink never
-/// persists it), then forwarded to the original sink if there was one.
-/// Installing a sink also arms the periodic-checkpoint schedule, so
-/// journaled runs get durable checkpoints by default. Drivers call this
-/// once per run, before handing the options to a machine.
-inline void armJournalCheckpointSink(RunOptions &O) {
-  if (!O.RunJournal)
-    return;
-  Journal *J = O.RunJournal;
-  DurabilityTracker *DT = O.Durability;
-  O.CheckpointSink = [J, DT, User = std::move(O.CheckpointSink)](
-                         const Checkpoint &CK) {
-    if (DT && DT->degraded("checkpoint"))
-      return;
-    if (!J->appendCheckpoint(CK.bytes()) && DT)
-      DT->report("checkpoint", J->error(), CK.header().SavedSteps);
-    if (User)
-      User(CK);
-  };
-}
-
-/// Points the run at \p T unless an embedder already installed a tracker,
-/// and installs the RunOptions failpoint plan (process-global; see
-/// support/FailPoint.h). Drivers call this once per run, before
-/// armJournalCheckpointSink.
-inline void armDurabilityTracker(RunOptions &O, DurabilityTracker &T) {
-  if (!O.Durability)
-    O.Durability = &T;
-  if (!O.FailPointSpec.empty()) {
-    // The spec was validated where it entered (CLI flag, combinator); a
-    // malformed one here degenerates to "no failpoints", never to UB.
-    std::string Err;
-    installFailPoints(O.FailPointSpec, Err);
-  }
-}
 
 /// The final answer: the paper's <alpha, sigma'> pair. `ValueText` is
 /// phi(alpha); typed accessors are provided for test convenience. Monitor
@@ -1028,9 +975,6 @@ Checkpoint MachineT<Policy, Lexical>::makeCheckpoint() {
   constexpr bool HasHooks =
       requires(Policy &P, Serializer &Sec) { P.Hooks->saveMonitorSection(Sec); };
   H.Monitored = HasHooks;
-#ifdef MONSEM_VALUE_BOXED
-  H.BoxedValues = true;
-#endif
   H.ProgramFingerprint = fingerprint();
   H.SavedSteps = Steps - 1;
   Serializer S = Checkpoint::begin(H);
@@ -1277,7 +1221,7 @@ RunResult MachineT<Policy, Lexical>::run() {
     // are measured from the resume point (fresh budget).
     StepBase = Steps = Opts.ResumeFrom->header().SavedSteps;
   }
-  Governor Gov(Opts.Limits, Opts.MaxSteps, StepBase,
+  Governor Gov(Opts.Limits, StepBase,
                Opts.CheckpointSink ? Opts.CheckpointEveryNSteps : 0);
   A.setByteLimit(Gov.arenaByteCap());
   try {

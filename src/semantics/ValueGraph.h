@@ -22,10 +22,10 @@
 ///    function of the tree, so ids agree across processes).
 ///
 ///  - **Representation independence.** Integers are always written as
-///    64-bit values and re-encoded on load (`Value::mkInt(V, Arena)`), so a
-///    checkpoint taken by a tagged-Value build resumes under
-///    MONSEM_VALUE_BOXED and vice versa. Strings are written by content and
-///    revived into reader-owned storage.
+///    64-bit values and re-encoded on load (`Value::mkInt(V, Arena)`), so
+///    the inline-vs-boxed choice of the tagged word never reaches the
+///    bytes. Strings are written by content and revived into reader-owned
+///    storage.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -434,13 +434,14 @@ bool monsem::parseRequest(std::string_view Line, Request &Out,
     S.Tenant = T->S;
   }
   if (const Value *B = V.field("backend")) {
-    S.Backend = B->strOr("cek");
-    if (S.Backend != "cek" && S.Backend != "vm" && S.Backend != "vm-reg" &&
-        S.Backend != "vm-aot" && S.Backend != "direct") {
-      Err = "unknown backend \"" + S.Backend +
-            "\" (valid: cek, vm, vm-reg, vm-aot, direct)";
+    std::string Name(B->strOr("cek"));
+    std::optional<monsem::Backend> Parsed = parseBackend(Name);
+    if (!Parsed) {
+      Err = "unknown backend \"" + Name + "\" (valid: " + backendNames() +
+            ")";
       return false;
     }
+    S.B = *Parsed;
   }
   if (const Value *St = V.field("strategy")) {
     S.Strategy = St->strOr("strict");

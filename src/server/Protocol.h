@@ -48,6 +48,8 @@
 #ifndef MONSEM_SERVER_PROTOCOL_H
 #define MONSEM_SERVER_PROTOCOL_H
 
+#include "interp/Backend.h"
+
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -171,7 +173,7 @@ struct SubmitRequest {
   std::string Tenant;                ///< Fair-share queue ("" = connection).
   std::vector<std::string> Monitors; ///< Monitor kinds (serve's grant list).
   std::vector<std::string> Names;    ///< Functions to annotate (empty = all).
-  std::string Backend = "cek";       ///< cek | vm | vm-reg | vm-aot | direct.
+  monsem::Backend B = monsem::Backend::CEK; ///< Validated by parseBackend.
   std::string Strategy = "strict";   ///< strict | name | need.
   bool Prelude = false;
   uint64_t MaxSteps = 0;

@@ -465,27 +465,17 @@ void Server::submitRun(const SubmitRequest &Req, const std::string &RawLine,
   }
 
   EvalMode Mode;
-  if (Req.Backend == "vm")
-    Mode.B = Backend::VM;
-  else if (Req.Backend == "vm-reg")
-    Mode.B = Backend::VMRegister;
-  else if (Req.Backend == "vm-aot")
-    Mode.B = Backend::VMAot;
-  else if (Req.Backend == "direct")
-    Mode.B = Backend::Direct;
-  else
-    Mode.B = Backend::CEK;
+  Mode.B = Req.B;
   if (Req.Strategy == "name")
     Mode.Strat = Strategy::CallByName;
   else if (Req.Strategy == "need")
     Mode.Strat = Strategy::CallByNeed;
   else
     Mode.Strat = Strategy::Strict;
-  if ((Mode.B == Backend::VM || Mode.B == Backend::VMRegister ||
-       Mode.B == Backend::VMAot) &&
-      Mode.Strat != Strategy::Strict) {
-    emitError(*Out, Req.Id,
-              "the bytecode backends support the strict strategy only");
+  // The driver's capability table, asked before any file is written.
+  std::string Refusal = capabilityError(Mode, Req.Durable);
+  if (!Refusal.empty()) {
+    emitError(*Out, Req.Id, Refusal);
     return;
   }
 
@@ -558,12 +548,6 @@ void Server::submitRun(const SubmitRequest &Req, const std::string &RawLine,
                 "durability not granted; start serve with --journal=DIR");
       return;
     }
-    if (Mode.B == Backend::Direct) {
-      emitError(*Out, Req.Id,
-                "the direct backend cannot checkpoint; durable runs need "
-                "cek or vm");
-      return;
-    }
     R->ReqPath = O.JournalDir + "/" + Req.Id + ".req.json";
     std::string Err;
     // Persist the request *before* acknowledging it: once the client sees
@@ -581,20 +565,8 @@ void Server::submitRun(const SubmitRequest &Req, const std::string &RawLine,
     Mode.CheckpointOnStop = true;
   }
 
-  if (Resume) {
-    Mode = Mode & resumeFrom(*Resume);
-    // Backend and strategy travel in the checkpoint header; adopt them so
-    // a recovered run continues the way it was started (a VM checkpoint is
-    // tier-portable: an explicit vm-reg or vm-aot request keeps that
-    // tier).
-    if (Resume->header().Backend == CheckpointBackend::VM) {
-      if (Mode.B != Backend::VMRegister && Mode.B != Backend::VMAot)
-        Mode.B = Backend::VM;
-    } else {
-      Mode.B = Backend::CEK;
-    }
-    Mode.Strat = static_cast<Strategy>(Resume->header().Strategy);
-  }
+  if (Resume)
+    Mode = resumeAsWritten(std::move(Mode), *Resume);
 
   {
     json::Writer W;

@@ -327,23 +327,25 @@ void Session::maybeEvict() {
     return;
   if (Resident.load(std::memory_order_relaxed) <= MaxResidentBytes)
     return;
-  // Snapshot the registry, then park coldest-first until back under the
-  // cap. Races with other evictors or with a worker picking the run up
-  // are settled by the per-run lock and the Parked/Phase recheck.
-  std::vector<RunStatePtr> Cands;
+  // Snapshot the registry with each run's recency, then park coldest-first
+  // until back under the cap. The sort key is read once: workers keep
+  // advancing LastSliceSeq, and comparing live values would hand
+  // std::sort an inconsistent order. Races with other evictors or with a
+  // worker picking the run up are settled by the per-run lock and the
+  // Parked/Phase recheck.
+  std::vector<std::pair<uint64_t, RunStatePtr>> Cands;
   {
     std::lock_guard<std::mutex> L(QM);
     Cands.reserve(AllRuns.size());
     for (const std::weak_ptr<RunState> &W : AllRuns)
       if (RunStatePtr R = W.lock())
-        Cands.push_back(std::move(R));
+        Cands.emplace_back(R->LastSliceSeq.load(std::memory_order_relaxed),
+                           std::move(R));
   }
   std::sort(Cands.begin(), Cands.end(),
-            [](const RunStatePtr &A, const RunStatePtr &B) {
-              return A->LastSliceSeq.load(std::memory_order_relaxed) <
-                     B->LastSliceSeq.load(std::memory_order_relaxed);
-            });
-  for (const RunStatePtr &R : Cands) {
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  for (const auto &Cand : Cands) {
+    const RunStatePtr &R = Cand.second;
     if (Resident.load(std::memory_order_relaxed) <= MaxResidentBytes)
       break;
     std::lock_guard<std::mutex> L(R->M);
@@ -456,13 +458,14 @@ void Session::runSlice(RunStatePtr RP) {
 
   // Fuel: the user budget measures steps since submit (a resumed run gets
   // a fresh budget, matching the standalone rule), so the slice gets the
-  // remaining budget — or one quantum, whichever is smaller. The Direct
-  // backend cannot checkpoint and is never sliced.
+  // remaining budget — or one quantum, whichever is smaller. A backend
+  // that cannot checkpoint (Direct) is never sliced, and gets no tap.
   const uint64_t UserFuel = R.Mode.Limits.MaxSteps;
   const uint64_t Progress = R.DoneSteps - R.BaseSteps;
   const uint64_t Remaining =
       UserFuel ? (UserFuel > Progress ? UserFuel - Progress : 1) : 0;
-  const bool CanSlice = Quantum != 0 && R.Mode.B != Backend::Direct;
+  const bool Durable = backendCaps(R.Mode.B).Durable;
+  const bool CanSlice = Quantum != 0 && Durable;
   const bool QuantumLimited =
       CanSlice && (UserFuel == 0 || Quantum < Remaining);
   if (QuantumLimited)
@@ -498,7 +501,7 @@ void Session::runSlice(RunStatePtr RP) {
   }
 
   // Probe taps compose: the scheduler never swallows the user's own sink.
-  if (R.Ev.OnProbe) {
+  if (R.Ev.OnProbe && Durable) {
     Slice.EventSink = [Tap = R.Ev.OnProbe, User = R.Mode.EventSink](
                           uint64_t Step, const std::string &Text) {
       Tap(Step, Text);

@@ -40,7 +40,7 @@ void writeHeader(Serializer &S, const CheckpointHeader &H) {
   S.writeU8(H.Strategy);
   S.writeBool(H.Lexical);
   S.writeBool(H.Monitored);
-  S.writeBool(H.BoxedValues);
+  S.writeU8(0); // formerly boxedValues, now reserved
   S.writeU8(0); // reserved
   S.writeU8(0);
   S.writeU8(0);
@@ -75,7 +75,7 @@ bool parseHeader(const std::vector<uint8_t> &Bytes, CheckpointHeader &H,
   H.Strategy = D.readU8();
   H.Lexical = D.readBool();
   H.Monitored = D.readBool();
-  H.BoxedValues = D.readBool();
+  D.readU8(); // formerly boxedValues: ignored, whatever its value
   D.readU8();
   D.readU8();
   D.readU8();

@@ -70,8 +70,7 @@ inline bool isGovernanceStop(Outcome O) {
 /// (0 / null = unlimited).
 struct ResourceLimits {
   /// Step limit; each machine transition (or valuation call, for the
-  /// direct interpreter) costs one unit. Supersedes the legacy
-  /// RunOptions::MaxSteps when nonzero.
+  /// direct interpreter) costs one unit.
   uint64_t MaxSteps = 0;
   /// Wall-clock deadline in milliseconds from the start of the run,
   /// checked every CheckInterval steps.
@@ -112,10 +111,6 @@ class Governor {
 public:
   static constexpr uint32_t kDefaultCheckInterval = 1024;
 
-  /// \p LegacyMaxSteps is the pre-governor fuel field (RunOptions::MaxSteps
-  /// and friends); it applies when Limits.MaxSteps is unset so existing
-  /// drivers keep their exact semantics.
-  ///
   /// \p StepBase is nonzero only for resumed runs: the machine's step
   /// counter continues from the checkpoint (so cumulative step counts match
   /// an uninterrupted run), while the budget is fresh — fuel measures
@@ -126,10 +121,9 @@ public:
   /// steps; the machine polls takeCheckpointDue() after an Ok pause. Folding
   /// the boundary into the pause schedule keeps the hot loop at one compare
   /// per step whether or not checkpointing is armed.
-  explicit Governor(const ResourceLimits &Limits, uint64_t LegacyMaxSteps = 0,
-                    uint64_t StepBase = 0, uint64_t CheckpointEvery = 0)
+  explicit Governor(const ResourceLimits &Limits, uint64_t StepBase = 0,
+                    uint64_t CheckpointEvery = 0)
       : L(Limits), Base(StepBase), CkptEvery(CheckpointEvery) {
-    MaxSteps = L.MaxSteps ? L.MaxSteps : LegacyMaxSteps;
     Interval = L.CheckInterval ? L.CheckInterval : kDefaultCheckInterval;
     Periodic = L.DeadlineMs || L.MaxArenaBytes || L.MaxDepth || L.CancelFlag ||
                L.PreemptFlag;
@@ -153,7 +147,7 @@ public:
   /// (fuel, memory, depth) run before the wall-clock ones so that runs
   /// that can stop deterministically do.
   Outcome pause(uint64_t Steps, uint64_t ArenaBytes, uint64_t Depth) {
-    if (MaxSteps && Steps - Base > MaxSteps)
+    if (L.MaxSteps && Steps - Base > L.MaxSteps)
       return Outcome::FuelExhausted;
     if (L.MaxArenaBytes && ArenaBytes > L.MaxArenaBytes)
       return Outcome::MemoryExceeded;
@@ -189,15 +183,14 @@ private:
       N = Steps + Interval;
     // Fuel is exact: stop on the first step past the budget, exactly like
     // the pre-governor per-step check did.
-    if (MaxSteps && MaxSteps != UINT64_MAX && Base + MaxSteps + 1 < N)
-      N = Base + MaxSteps + 1;
+    if (L.MaxSteps && L.MaxSteps != UINT64_MAX && Base + L.MaxSteps + 1 < N)
+      N = Base + L.MaxSteps + 1;
     if (CkptEvery && NextCkpt < N)
       N = NextCkpt;
     return N;
   }
 
   ResourceLimits L;
-  uint64_t MaxSteps = 0;
   uint64_t Base = 0;
   uint32_t Interval = kDefaultCheckInterval;
   bool Periodic = false;

@@ -341,6 +341,50 @@ TEST(CheckpointReject, TruncatedBytesRejected) {
   EXPECT_FALSE(Bad.valid());
 }
 
+TEST(CheckpointFile, FormerBoxedValuesByteIsIgnoredOnRead) {
+  // Header byte 12 (after magic, version, backend, strategy, lexical and
+  // monitored) once recorded the writer's Value representation. Writers
+  // now always emit 0 and readers ignore it: a checkpoint with the byte set
+  // to 1 and its checksum re-sealed resumes to the same answer, step count
+  // and monitor finals on every resumable backend.
+  constexpr size_t kBoxedByte = 12;
+  const std::string Src = "letrec fib = lambda n. if n < 2 then n else "
+                          "fib (n - 1) + fib (n - 2) in fib 12";
+  for (BackendTag B : {kCEK, kVM, kVMReg}) {
+    auto P = parseOk(Src);
+    AnnotateOptions AO;
+    AO.Qualifier = Symbol::intern("profile");
+    const Expr *Prog =
+        annotateFunctionBodies(P->context(), P->root(), {}, AO);
+    CallProfiler Prof;
+    RunResult Want = evaluate(Prof & B, Prog);
+    ASSERT_EQ(Want.St, Outcome::Ok) << Want.Error;
+
+    Checkpoint CK;
+    evaluate(Prof & B & maxSteps(Want.Steps / 2) &
+                 checkpointInto([&](const Checkpoint &C) { CK = C; }),
+             Prog);
+    ASSERT_TRUE(CK.valid());
+    std::vector<uint8_t> Bytes = CK.bytes();
+    EXPECT_EQ(Bytes[kBoxedByte], 0); // Reserved: always written as 0.
+    Bytes[kBoxedByte] = 1;
+    Serializer Seal;
+    Seal.writeU64(fnv1aHash(Bytes.data(), Bytes.size() - 8));
+    std::copy(Seal.bytes().begin(), Seal.bytes().end(), Bytes.end() - 8);
+    std::string Err;
+    Checkpoint Flipped = Checkpoint::fromBytes(std::move(Bytes), Err);
+    ASSERT_TRUE(Flipped.valid()) << Err;
+
+    RunResult Got = evaluate(Prof & B & resumeFrom(Flipped), Prog);
+    EXPECT_EQ(Got.St, Outcome::Ok) << Got.Error;
+    EXPECT_EQ(Got.ValueText, Want.ValueText);
+    EXPECT_EQ(Got.Steps, Want.Steps);
+    ASSERT_EQ(Got.FinalStates.size(), 1u);
+    EXPECT_EQ(Got.FinalStates[0]->str(), Want.FinalStates[0]->str());
+  }
+  EXPECT_EQ(Checkpoint::kVersion, 1u);
+}
+
 TEST(CheckpointFile, SaveLoadRoundTrip) {
   Checkpoint CK = interruptedCheckpoint(EvalMode(), kLoopSrc);
   std::string Path = ::testing::TempDir() + "monsem_ck_roundtrip.bin";

@@ -102,7 +102,7 @@ TEST(CliTest, RegisterBackendAgreesWithInterpreter) {
 
 TEST(CliTest, RegisterBackendRunsMonitors) {
   // Probe events must be identical across bytecode tiers, so the profile
-  // line is byte-for-byte what --vm (and the CEK machine) prints.
+  // line is byte-for-byte what --backend=vm (and the CEK machine) prints.
   CliResult VM = runCli(sample("fac.lam") + " --backend=vm --profile");
   CliResult Reg = runCli(sample("fac.lam") + " --backend=vm-reg --profile");
   EXPECT_EQ(VM.ExitCode, 0) << VM.Output;
@@ -200,21 +200,18 @@ TEST(CliTest, VmHonorsGovernorFlags) {
   // fuel limit must bite on the VM exactly as it does on the CEK machine.
   CliResult R = runShell(
       std::string("printf 'letrec loop = lambda x. loop x in loop 1' | ") +
-      MONSEM_CLI_PATH + " - --vm --max-steps=100");
+      MONSEM_CLI_PATH + " - --backend=vm --max-steps=100");
   EXPECT_NE(R.ExitCode, 0);
   EXPECT_NE(R.Output.find("fuel-exhausted"), std::string::npos) << R.Output;
 }
 
-TEST(CliTest, VmFlagWarnsDeprecated) {
-  // --vm still works but steers users to the --backend spelling; the
-  // warning goes to stderr and must not change the exit code or value.
+TEST(CliTest, VmFlagIsRejected) {
+  // The retired --vm shorthand is an unknown flag: a usage error, not a
+  // run.
   CliResult Old = runCli(sample("church.lam") + " --vm");
-  EXPECT_EQ(Old.ExitCode, 0) << Old.Output;
-  EXPECT_NE(Old.Output.find("warning: --vm is deprecated; use --backend=vm"),
-            std::string::npos)
-      << Old.Output;
-  CliResult New = runCli(sample("church.lam") + " --backend=vm");
-  EXPECT_EQ(New.Output.find("deprecated"), std::string::npos) << New.Output;
+  EXPECT_EQ(Old.ExitCode, 2) << Old.Output;
+  EXPECT_NE(Old.Output.find("usage:"), std::string::npos) << Old.Output;
+  EXPECT_EQ(Old.Output.find("--vm "), std::string::npos) << Old.Output;
 }
 
 TEST(CliTest, ParseErrorsExitNonzero) {
@@ -646,5 +643,53 @@ TEST(CliSupervise, SuperviseWithoutJournalIsAUsageError) {
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
   EXPECT_NE(R.Output.find("--supervise requires --journal"),
             std::string::npos)
+      << R.Output;
+}
+
+TEST(CliDurability, DirectBackendRefusesDurableFlagsBeforeCreatingFiles) {
+  // The Direct interpreter can neither checkpoint nor journal; the CLI asks
+  // the driver's capability table before any file exists, so a refused
+  // run leaves nothing behind and never claims a checkpoint was written.
+  std::string Ck = ::testing::TempDir() + "cli_direct_refused.ck";
+  std::string Journal = ::testing::TempDir() + "cli_direct_refused.journal";
+  std::remove(Ck.c_str());
+  std::remove(Journal.c_str());
+  const std::string Base =
+      sample("fib.lam") + " --backend=direct --max-steps=100";
+  for (const std::string &Flags :
+       {" --checkpoint-out=" + Ck, " --journal=" + Journal,
+        std::string(" --checkpoint-every-n-steps=10")}) {
+    CliResult R = runCli(Base + Flags);
+    EXPECT_EQ(R.ExitCode, 2) << Flags << ": " << R.Output;
+    EXPECT_NE(R.Output.find("cannot resume, checkpoint, journal"),
+              std::string::npos)
+        << Flags << ": " << R.Output;
+    EXPECT_EQ(R.Output.find("checkpoint written"), std::string::npos)
+        << Flags << ": " << R.Output;
+  }
+  EXPECT_FALSE(fileExists(Ck));
+  EXPECT_FALSE(fileExists(Journal));
+}
+
+TEST(CliDirectStack, MonitoredRunStopsInsteadOfOverflowing) {
+  // Monitored CPS interpretation used to overflow the C stack (SIGSEGV).
+  // Now it stops governed: depth-exceeded (exit 7) on a default stack, or
+  // fuel (exit 3) where the stack outlasts the call budget. The child's
+  // stack is capped at 8 MiB so an unlimited RLIMIT_STACK in the caller
+  // cannot turn the long run into an unbounded one.
+  auto Fib = [](int N) {
+    return std::string("ulimit -s 8192 2>/dev/null; printf 'letrec fib = "
+                       "lambda n. if n < 2 then n else "
+                       "fib (n - 1) + fib (n - 2) in fib ") +
+           std::to_string(N) + "' | " + MONSEM_CLI_PATH + " - --backend=direct";
+  };
+  for (const char *Mon : {" --profile", " --cost"}) {
+    CliResult R = runShell(Fib(15) + Mon);
+    EXPECT_TRUE(R.ExitCode == 7 || R.ExitCode == 3) << Mon << R.Output;
+  }
+  // With an ample call budget a long run outgrows any stack: exit 7.
+  CliResult R = runShell(Fib(40) + " --profile --max-steps=1000000000");
+  EXPECT_EQ(R.ExitCode, 7) << R.Output;
+  EXPECT_NE(R.Output.find("stopped: depth-exceeded"), std::string::npos)
       << R.Output;
 }

@@ -129,7 +129,7 @@ TEST(CompilerTest, FuelExhaustion) {
   auto CP = compileProgram(P->root(), D);
   ASSERT_NE(CP, nullptr);
   RunOptions Opts;
-  Opts.MaxSteps = 5000;
+  Opts.Limits.MaxSteps = 5000;
   RunResult R = runCompiled(*CP, nullptr, Opts);
   EXPECT_TRUE(R.FuelExhausted);
 }
@@ -179,7 +179,7 @@ TEST_P(VMDifferentialTest, AgreesWithMachine) {
   AstContext Ctx;
   const Expr *Prog = monsem::testing::genProgram(Ctx, GetParam());
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
   RunResult Interp = evaluate(Prog, Opts);
   Cascade Empty;
   RunResult VM = evaluateCompiled(Empty, Prog, Opts);
@@ -196,8 +196,8 @@ TEST_P(VMDifferentialTest, MonitoredStatesAgreeWithMachine) {
   Cascade C;
   C.use(Count);
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
-  RunResult Interp = evaluate(C & maxSteps(Opts.MaxSteps), Prog);
+  Opts.Limits.MaxSteps = 1000000;
+  RunResult Interp = evaluate(C & maxSteps(Opts.Limits.MaxSteps), Prog);
   RunResult VM = evaluateCompiled(C, Prog, Opts);
   EXPECT_TRUE(Interp.sameOutcome(VM)) << printExpr(Prog);
   if (Interp.Ok && VM.Ok) {

@@ -10,10 +10,13 @@
 #include "interp/Eval.h"
 #include "monitors/Profiler.h"
 #include "monitors/Tracer.h"
+#include "syntax/Annotator.h"
 
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
 
 using namespace monsem;
 
@@ -23,6 +26,22 @@ std::unique_ptr<ParsedProgram> parseOk(std::string_view Src) {
   auto P = ParsedProgram::parse(Src);
   EXPECT_TRUE(P->ok()) << P->diags().str();
   return P;
+}
+
+/// Runs \p Fn on a fresh thread with a \p StackBytes stack, so stack
+/// exhaustion does not depend on the runner's ulimit.
+template <class F> void onThreadWithStack(size_t StackBytes, F Fn) {
+  pthread_attr_t Attr;
+  pthread_attr_init(&Attr);
+  pthread_attr_setstacksize(&Attr, StackBytes);
+  pthread_t T;
+  auto Entry = [](void *Arg) -> void * {
+    (*static_cast<F *>(Arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&T, &Attr, Entry, &Fn), 0);
+  pthread_join(T, nullptr);
+  pthread_attr_destroy(&Attr);
 }
 
 } // namespace
@@ -118,7 +137,7 @@ TEST_P(DirectDifferentialTest, AgreesWithMachine) {
   if (Direct.FuelExhausted)
     GTEST_SKIP() << "program too large for the CPS reference interpreter";
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
   RunResult Machine = evaluate(Prog, Opts);
   EXPECT_TRUE(Direct.sameOutcome(Machine))
       << "direct: " << (Direct.Ok ? Direct.ValueText : Direct.Error)
@@ -127,3 +146,45 @@ TEST_P(DirectDifferentialTest, AgreesWithMachine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectDifferentialTest,
                          ::testing::Range(0u, 60u));
+
+//===----------------------------------------------------------------------===//
+// Stack headroom: CPS interpretation nests every valuation call on the C
+// stack, so a run must stop with DepthExceeded before the stack overflows.
+//===----------------------------------------------------------------------===//
+
+TEST(DirectStack, MonitoredRunStopsWithDepthExceeded) {
+  // fib 15 under a profiler needs more C stack per call than the default
+  // call budget assumes; on a 1 MiB stack it exhausts the stack long
+  // before the budget.
+  auto P = parseOk("letrec fib = lambda n. if n < 2 then n else "
+                   "fib (n - 1) + fib (n - 2) in fib 15");
+  AnnotateOptions AO;
+  AO.Qualifier = Symbol::intern("profile");
+  const Expr *Prog = annotateFunctionBodies(P->context(), P->root(), {}, AO);
+  CallProfiler Prof;
+  RunResult R;
+  onThreadWithStack(1 << 20, [&] { R = evaluate(Prof & kDirect, Prog); });
+  EXPECT_EQ(R.St, Outcome::DepthExceeded) << outcomeName(R.St) << R.Error;
+  EXPECT_GT(R.Steps, 0u);
+  ASSERT_EQ(R.FinalStates.size(), 1u); // Partial states survive the stop.
+}
+
+TEST(DirectStack, LongRunStopsWithDepthExceeded) {
+  // With a call budget far beyond what any stack can hold, the guard — not
+  // the budget — ends the run. Both legs run on threads with fixed stacks
+  // so the outcome does not depend on the caller's RLIMIT_STACK.
+  auto P = parseOk("letrec fib = lambda n. if n < 2 then n else "
+                   "fib (n - 1) + fib (n - 2) in fib 40");
+  auto Run = [&](size_t StackBytes) {
+    RunResult R;
+    onThreadWithStack(StackBytes, [&] {
+      R = evaluate(kDirect & maxSteps(4'000'000'000), P->root());
+    });
+    return R;
+  };
+  RunResult Large = Run(8 << 20);
+  EXPECT_EQ(Large.St, Outcome::DepthExceeded) << outcomeName(Large.St);
+  RunResult Small = Run(256 << 10);
+  EXPECT_EQ(Small.St, Outcome::DepthExceeded) << outcomeName(Small.St);
+  EXPECT_LT(Small.Steps, Large.Steps);
+}

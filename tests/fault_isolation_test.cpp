@@ -53,7 +53,7 @@ RunOptions optionsFor(Strategy S, bool Lexical) {
   RunOptions Opts;
   Opts.Strat = S;
   Opts.Lexical = Lexical;
-  Opts.MaxSteps = 500000;
+  Opts.Limits.MaxSteps = 500000;
   return Opts;
 }
 

@@ -71,19 +71,20 @@ TEST(GovernorTest, ArenaUncappedByDefault) {
 // CEK machine
 //===----------------------------------------------------------------------===//
 
-TEST(GovernorTest, FuelLimitMatchesLegacyMaxSteps) {
+TEST(GovernorTest, FuelLimitStopsOnFirstStepPastBudget) {
   auto P = parseOk(LoopSrc);
-  RunOptions Legacy;
-  Legacy.MaxSteps = 10000;
-  RunResult RL = evaluate(P->root(), Legacy);
-  EXPECT_EQ(RL.St, Outcome::FuelExhausted);
-  EXPECT_TRUE(RL.FuelExhausted); // Legacy mirror field.
+  RunOptions Opts;
+  Opts.Limits.MaxSteps = 10000;
+  RunResult RC = evaluate(P->root(), Opts);
+  EXPECT_EQ(RC.St, Outcome::FuelExhausted);
+  EXPECT_TRUE(RC.FuelExhausted); // Legacy mirror field.
+  EXPECT_EQ(RC.Steps, 10001u);
 
-  RunOptions Gov;
-  Gov.Limits.MaxSteps = 10000;
-  RunResult RG = evaluate(P->root(), Gov);
-  EXPECT_EQ(RG.St, Outcome::FuelExhausted);
-  EXPECT_EQ(RG.Steps, RL.Steps); // Same stopping point either way.
+  // The bytecode tiers stop at the same step.
+  Cascade Empty;
+  RunResult RV = evaluateCompiled(Empty, P->root(), Opts);
+  EXPECT_EQ(RV.St, Outcome::FuelExhausted);
+  EXPECT_EQ(RV.Steps, RC.Steps);
 }
 
 TEST(GovernorTest, DeadlineStopsADivergentProgram) {

@@ -20,7 +20,7 @@ TEST_P(ImpSoundnessProperty, MonitorsPreserveOutputAndStore) {
   ImpContext Ctx;
   const Cmd *Prog = monsem::testing::genImpProgram(Ctx, GetParam());
   ImpRunOptions Opts;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   ImpRunResult Std = runImp(Prog, Opts);
 
   ImpStmtProfiler Prof;
@@ -44,7 +44,7 @@ TEST_P(ImpSoundnessProperty, StrippingPreservesOutcome) {
   const Cmd *Prog = monsem::testing::genImpProgram(Ctx, GetParam());
   const Cmd *Plain = stripCmdAnnotations(Ctx, Prog);
   ImpRunOptions Opts;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   EXPECT_TRUE(runImp(Prog, Opts).sameOutcome(runImp(Plain, Opts)))
       << printCmd(Prog);
 }
@@ -56,7 +56,7 @@ TEST_P(ImpSoundnessProperty, MonitorStatesAreDeterministic) {
   ImpCascade C;
   C.use(Prof);
   ImpRunOptions Opts;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   ImpRunResult R1 = runImp(C, Prog, Opts);
   ImpRunResult R2 = runImp(C, Prog, Opts);
   ASSERT_EQ(R1.FinalStates.size(), R2.FinalStates.size());
@@ -68,7 +68,7 @@ TEST_P(ImpSoundnessProperty, CrossLevelMonitoringPreservesOutcome) {
   ImpContext Ctx;
   const Cmd *Prog = monsem::testing::genImpProgram(Ctx, GetParam());
   ImpRunOptions Opts;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   ImpRunResult Std = runImp(Prog, Opts);
 
   ImpStmtProfiler CmdProf;

@@ -128,7 +128,7 @@ TEST(ImpMachineTest, RuntimeErrors) {
 TEST(ImpMachineTest, FuelBoundsInfiniteLoops) {
   auto P = parseImpOk("x := 1; while true do x := x + 1 end");
   ImpRunOptions Opts;
-  Opts.MaxSteps = 10000;
+  Opts.Limits.MaxSteps = 10000;
   ImpRunResult R = runImp(P->C, Opts);
   EXPECT_TRUE(R.FuelExhausted);
 }

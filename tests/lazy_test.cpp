@@ -14,7 +14,7 @@ RunResult runWith(std::string_view Src, Strategy S,
   EXPECT_TRUE(P->ok()) << P->diags().str();
   RunOptions Opts;
   Opts.Strat = S;
-  Opts.MaxSteps = MaxSteps;
+  Opts.Limits.MaxSteps = MaxSteps;
   return evaluate(P->root(), Opts);
 }
 

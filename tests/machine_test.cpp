@@ -160,7 +160,7 @@ TEST(MachineTest, FuelExhaustion) {
   auto P = ParsedProgram::parse("letrec loop = lambda x. loop x in loop 1");
   ASSERT_TRUE(P->ok());
   RunOptions Opts;
-  Opts.MaxSteps = 10000;
+  Opts.Limits.MaxSteps = 10000;
   RunResult R = evaluate(P->root(), Opts);
   EXPECT_TRUE(R.FuelExhausted);
   EXPECT_FALSE(R.Ok);

@@ -221,7 +221,7 @@ TEST_P(PEDifferentialTest, ResidualPreservesAnswers) {
   Opts.MaxSteps = 200000;
   PEResult R = partialEvaluate(Out, Prog, Opts);
   RunOptions RO;
-  RO.MaxSteps = 1000000;
+  RO.Limits.MaxSteps = 1000000;
   RunResult Orig = evaluate(Prog, RO);
   RunResult Res = evaluate(R.Residual, RO);
   EXPECT_TRUE(Orig.sameOutcome(Res))

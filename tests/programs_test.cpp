@@ -41,6 +41,14 @@ struct Sample {
   const char *Expected;
 };
 
+// Without a printer gtest shows a Sample as its raw pointer bytes, which
+// puts load addresses into the listed test names and changes them on
+// every build. Print the program's file name instead.
+void PrintTo(const Sample &S, std::ostream *OS) {
+  std::string Name = S.File;
+  *OS << Name.substr(Name.rfind('/') + 1);
+}
+
 const Sample Samples[] = {
     {"examples/programs/fac.lam", "3628800"},
     {"examples/programs/fib.lam", "2584"},
@@ -74,7 +82,7 @@ TEST_P(SampleProgramTest, AllEvaluatorsAgree) {
   for (Strategy St : {Strategy::CallByName, Strategy::CallByNeed}) {
     RunOptions Opts;
     Opts.Strat = St;
-    Opts.MaxSteps = 3000000;
+    Opts.Limits.MaxSteps = 3000000;
     RunResult R = evaluate(P->root(), Opts);
     if (R.FuelExhausted)
       continue;

@@ -55,7 +55,7 @@ TEST_P(PEIdempotence, SpecializingTheResidualPreservesTheAnswer) {
   PEResult R1 = partialEvaluate(Out1, Prog, Opts);
   PEResult R2 = partialEvaluate(Out2, R1.Residual, Opts);
   RunOptions RO;
-  RO.MaxSteps = 1000000;
+  RO.Limits.MaxSteps = 1000000;
   RunResult A = evaluate(Prog, RO);
   RunResult B = evaluate(R2.Residual, RO);
   EXPECT_TRUE(A.sameOutcome(B))

@@ -306,7 +306,7 @@ RunResult runOne(const Expr *Prog, Strategy S, bool Lexical,
                     Prog);
   RunOptions Opts;
   Opts.Strat = S;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   Opts.Lexical = Lexical;
   return evaluate(Prog, Opts);
 }

@@ -43,6 +43,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -59,6 +60,19 @@ namespace {
 std::string facProgram(int N) {
   return "letrec fac = lambda n. if n < 2 then 1 else n * fac (n - 1) "
          "in fac " +
+         std::to_string(N);
+}
+
+/// \p P's program with every function body under a `profile` annotation.
+const Expr *profiled(ParsedProgram &P) {
+  AnnotateOptions AO;
+  AO.Qualifier = Symbol::intern("profile");
+  return annotateFunctionBodies(P.context(), P.root(), {}, AO);
+}
+
+std::string fibProgram(int N) {
+  return "letrec fib = lambda n. if n < 2 then n else fib (n - 1) + "
+         "fib (n - 2) in fib " +
          std::to_string(N);
 }
 
@@ -79,9 +93,7 @@ struct Baseline {
 Baseline standalone(const std::string &Src, const CallProfiler &Prof) {
   auto P = ParsedProgram::parse(Src);
   EXPECT_TRUE(P->ok()) << P->diags().str();
-  AnnotateOptions AO;
-  AO.Qualifier = Symbol::intern("profile");
-  const Expr *Prog = annotateFunctionBodies(P->context(), P->root(), {}, AO);
+  const Expr *Prog = profiled(*P);
   Cascade C;
   C.use(Prof);
   Baseline B;
@@ -105,9 +117,7 @@ TEST(SessionApi, SlicedRunMatchesStandalone) {
 
   auto P = ParsedProgram::parse(facProgram(10));
   ASSERT_TRUE(P->ok());
-  AnnotateOptions AO;
-  AO.Qualifier = Symbol::intern("profile");
-  const Expr *Prog = annotateFunctionBodies(P->context(), P->root(), {}, AO);
+  const Expr *Prog = profiled(*P);
   Cascade C;
   C.use(Prof);
 
@@ -141,10 +151,7 @@ TEST(SessionApi, SixtyFourRunsOnFourWorkersAreByteIdentical) {
     Want.push_back(standalone(Src, Prof));
     auto P = ParsedProgram::parse(Src);
     ASSERT_TRUE(P->ok());
-    AnnotateOptions AO;
-    AO.Qualifier = Symbol::intern("profile");
-    Progs.push_back(
-        annotateFunctionBodies(P->context(), P->root(), {}, AO));
+    Progs.push_back(profiled(*P));
     Parsed.push_back(std::move(P));
   }
   Cascade C;
@@ -342,9 +349,7 @@ TEST(SessionApi, EvictionUnderMemoryPressureIsByteIdentical) {
     Want.push_back(standalone(Src, Prof));
     auto P = ParsedProgram::parse(Src);
     ASSERT_TRUE(P->ok());
-    AnnotateOptions AO;
-    AO.Qualifier = Symbol::intern("profile");
-    Progs.push_back(annotateFunctionBodies(P->context(), P->root(), {}, AO));
+    Progs.push_back(profiled(*P));
     Parsed.push_back(std::move(P));
   }
   Cascade C;
@@ -393,6 +398,49 @@ TEST(SessionApi, EvictionUnderMemoryPressureIsByteIdentical) {
   ::closedir(D);
   EXPECT_EQ(Leftover, 0);
   ::rmdir(Dir.c_str());
+}
+
+TEST(SessionApi, EvictionSweepRacesLiveWorkers) {
+  // Small quanta on three workers with a one-byte resident cap: every
+  // slice boundary runs an eviction sweep over all runs while the other
+  // workers keep advancing their recency counters. The sweep must order a
+  // snapshot of those counters; sorting on the live values handed
+  // std::sort an inconsistent order and crashed the daemon.
+  std::string Dir = ::testing::TempDir() + "serve_race_" +
+                    std::to_string(::getpid());
+  ASSERT_TRUE(::mkdir(Dir.c_str(), 0700) == 0 || errno == EEXIST);
+  CallProfiler Prof;
+  const std::string Src = fibProgram(16);
+  Baseline Want = standalone(Src, Prof);
+  ASSERT_EQ(Want.St, Outcome::Ok);
+  auto P = ParsedProgram::parse(Src);
+  ASSERT_TRUE(P->ok());
+  const Expr *Prog = profiled(*P);
+  Cascade C;
+  C.use(Prof);
+
+  Session::Config Cfg;
+  Cfg.Workers = 3;
+  Cfg.QuantumSteps = 500;
+  Cfg.MaxResidentBytes = 1;
+  Cfg.ParkDir = Dir;
+  constexpr int Runs = 32;
+  {
+    Session S(Cfg);
+    std::vector<RunHandle> Handles;
+    for (int I = 0; I < Runs; ++I)
+      Handles.push_back(S.submit(EvalMode(C), Prog));
+    for (int I = 0; I < Runs; ++I) {
+      RunResult R = Handles[I].outcome();
+      EXPECT_EQ(R.St, Outcome::Ok) << "run " << I << ": " << R.Error;
+      EXPECT_EQ(R.ValueText, Want.Value) << "run " << I;
+      EXPECT_EQ(R.Steps, Want.Steps) << "run " << I;
+      ASSERT_EQ(R.FinalStates.size(), 1u) << "run " << I;
+      EXPECT_EQ(R.FinalStates[0]->str(), Want.Finals[0]) << "run " << I;
+    }
+    EXPECT_GT(S.evictions(), 0u);
+  }
+  EXPECT_EQ(::rmdir(Dir.c_str()), 0); // Every park file was cleaned up.
 }
 
 //===----------------------------------------------------------------------===//
@@ -520,6 +568,26 @@ TEST(ServeProtocol, CapabilityDenials) {
   EXPECT_TRUE(lineHas(T.Lines[2], "durability not granted")) << T.Lines[2];
 }
 
+TEST(ServeProtocol, BackendsFollowTheCapabilityTable) {
+  // Backend names and refusals on the wire come from the same table the
+  // run driver and the CLI consult.
+  Transcript T = serveStdin(
+      "{\"op\":\"submit\",\"id\":\"a\",\"program\":\"1\",\"backend\":"
+      "\"jit\"}\n"
+      "{\"op\":\"submit\",\"id\":\"b\",\"program\":\"1\",\"backend\":"
+      "\"direct\",\"durable\":true}\n"
+      "{\"op\":\"submit\",\"id\":\"c\",\"program\":\"1 + 2\",\"backend\":"
+      "\"vm-reg\"}\n",
+      "--workers=1");
+  ASSERT_GE(T.Lines.size(), 4u) << ::testing::PrintToString(T.Lines);
+  EXPECT_TRUE(lineHas(T.Lines[0], "unknown backend")) << T.Lines[0];
+  EXPECT_TRUE(lineHas(T.Lines[0], backendNames())) << T.Lines[0];
+  EXPECT_TRUE(lineHas(T.Lines[1], "\"id\":\"b\"")) << T.Lines[1];
+  EXPECT_TRUE(lineHas(T.Lines[1], "cannot resume, checkpoint")) << T.Lines[1];
+  EXPECT_EQ(T.Lines[2], "{\"event\":\"accepted\",\"id\":\"c\"}");
+  EXPECT_TRUE(lineHas(T.Lines[3], "\"value\":\"3\"")) << T.Lines[3];
+}
+
 TEST(ServeProtocol, StatusAndExplicitShutdown) {
   Transcript T = serveStdin("{\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n"
                             "{\"op\":\"status\"}\n",
@@ -637,8 +705,10 @@ struct ServeProc {
   int InFd = -1, OutFd = -1;
   std::string Buf;
 
+  /// \p StackBytes, when nonzero, caps the daemon's RLIMIT_STACK, which
+  /// its worker threads inherit as their stack size.
   bool start(const std::vector<std::string> &ExtraArgs,
-             const char *FailPoints = nullptr) {
+             const char *FailPoints = nullptr, rlim_t StackBytes = 0) {
     int In[2], Out[2];
     if (pipe(In) != 0 || pipe(Out) != 0)
       return false;
@@ -654,6 +724,10 @@ struct ServeProc {
       ::close(Out[1]);
       if (FailPoints)
         ::setenv("MONSEM_FAILPOINTS", FailPoints, 1);
+      if (StackBytes) {
+        struct rlimit RL = {StackBytes, StackBytes};
+        ::setrlimit(RLIMIT_STACK, &RL);
+      }
       std::vector<std::string> Args = {MONSEM_CLI_PATH, "serve"};
       Args.insert(Args.end(), ExtraArgs.begin(), ExtraArgs.end());
       std::vector<char *> Argv;
@@ -800,6 +874,30 @@ TEST(ServeDaemon, StatusReportsPerfCounters) {
   EXPECT_TRUE(Settled) << S1;
   EXPECT_TRUE(S1.find("\"user_steps\":0,") == std::string::npos) << S1;
   P.wait();
+}
+
+TEST(ServeDaemon, DirectMonitoredRunDoesNotKillTheDaemon) {
+  // Monitored CPS interpretation on a worker thread used to overflow the
+  // C stack and take the whole daemon down. Now the run stops governed
+  // and the daemon keeps serving. A 1 MiB worker stack makes the stop
+  // quick and deterministic on every build, sanitizers included.
+  ServeProc P;
+  ASSERT_TRUE(P.start({"--workers=1"}, nullptr, 1 << 20));
+  ASSERT_TRUE(P.send("{\"op\":\"submit\",\"id\":\"d\",\"program\":\"" +
+                     fibProgram(15) +
+                     "\",\"backend\":\"direct\",\"monitors\":"
+                     "[\"profile\"]}"));
+  std::string Outcome;
+  ASSERT_TRUE(P.readUntil("\"event\":\"outcome\"", &Outcome));
+  EXPECT_TRUE(Outcome.find("\"exit_code\":7") != std::string::npos)
+      << Outcome;
+  ASSERT_TRUE(P.send("{\"op\":\"submit\",\"id\":\"f\",\"program\":\"" +
+                     facProgram(10) + "\"}"));
+  ASSERT_TRUE(P.readUntil("\"event\":\"outcome\"", &Outcome));
+  EXPECT_TRUE(Outcome.find("\"value\":\"3628800\"") != std::string::npos)
+      << Outcome;
+  int St = P.wait();
+  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0) << St;
 }
 
 TEST(ServeDaemon, CancelUnknownRunIsAnError) {

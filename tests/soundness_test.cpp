@@ -37,7 +37,7 @@ constexpr uint64_t Fuel = 500000;
 RunResult runStd(const Expr *E, Strategy S = Strategy::Strict) {
   RunOptions Opts;
   Opts.Strat = S;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   return evaluate(E, Opts);
 }
 

@@ -1,13 +1,10 @@
 //===- tests/value_repr_test.cpp - Value representation differentials ------===//
 //
-// Differential coverage for the 8-byte tagged Value against the legacy
-// 16-byte boxed struct (-DMONSEM_VALUE_BOXED=ON). The representation is a
-// compile-time choice, so a single binary cannot hold both; instead every
-// assertion here is representation-independent — hard-coded int-boundary
-// goldens plus cross-evaluator / cross-strategy / cross-env-rep agreement
-// on the random corpus — and CI runs the suite in both configurations.
-// The same goldens passing in both builds is what establishes
-// tagged == boxed on (Answer, Outcome, Steps) and monitor final states.
+// Coverage for the 8-byte tagged Value: its size and inline-range
+// invariants, hard-coded int-boundary goldens on both sides of the inline
+// range, and cross-evaluator / cross-strategy / cross-env-rep agreement on
+// (Answer, Outcome, Steps) and monitor final states over the random
+// corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +33,7 @@ constexpr int64_t kInlineMin = -(int64_t{1} << 47);
 RunResult runCEK(const Expr *E, Strategy S, bool Lexical) {
   RunOptions Opts;
   Opts.Strat = S;
-  Opts.MaxSteps = Fuel;
+  Opts.Limits.MaxSteps = Fuel;
   Opts.Lexical = Lexical;
   return evaluate(E, Opts);
 }
@@ -60,17 +57,13 @@ const Expr *parseInto(ParsedProgram &P, std::string_view Src) {
 //===----------------------------------------------------------------------===//
 
 TEST(ValueReprTest, SizeMatchesConfiguration) {
-#ifndef MONSEM_VALUE_BOXED
-  // The tentpole: a Value is one machine word, and everything built from
-  // Values halves with it. The flat-frame header packs parent + shape id
-  // into one word, and a closure is two words (lambda + environment).
+  // A Value is one machine word, and everything built from Values is
+  // sized by it. The flat-frame header packs parent + shape id into one
+  // word, and a closure is two words (lambda + environment).
   EXPECT_EQ(sizeof(Value), 8u);
   EXPECT_EQ(sizeof(Cell), 16u);
   EXPECT_EQ(sizeof(EnvFrame), 8u);
   EXPECT_EQ(sizeof(Closure), 16u);
-#else
-  EXPECT_EQ(sizeof(Value), 16u);
-#endif
   // The Unit-placeholder convention allocFrame asserts: a default Value is
   // Unit and the tag predicate sees it.
   EXPECT_TRUE(Value().isUnit());
@@ -85,12 +78,10 @@ TEST(ValueReprTest, InlineRangePredicate) {
   EXPECT_TRUE(Value::fitsInline(-1));
   EXPECT_TRUE(Value::fitsInline(kInlineMax));
   EXPECT_TRUE(Value::fitsInline(kInlineMin));
-#ifndef MONSEM_VALUE_BOXED
   EXPECT_FALSE(Value::fitsInline(kInlineMax + 1));
   EXPECT_FALSE(Value::fitsInline(kInlineMin - 1));
   EXPECT_FALSE(Value::fitsInline(INT64_MAX));
   EXPECT_FALSE(Value::fitsInline(INT64_MIN));
-#endif
 }
 
 TEST(ValueReprTest, IntBoundariesRoundTrip) {
@@ -209,9 +200,7 @@ TEST(ValueReprTest, BoundaryGoldensAgreeOnEveryBackend) {
 }
 
 //===----------------------------------------------------------------------===//
-// Random corpus: every evaluator, env rep, and strategy agrees within the
-// build; running the identical corpus in both configurations (CI matrix)
-// closes the tagged-vs-boxed differential.
+// Random corpus: every evaluator, env rep, and strategy agrees.
 //===----------------------------------------------------------------------===//
 
 class ValueReprCorpus : public ::testing::TestWithParam<unsigned> {};
@@ -253,7 +242,7 @@ TEST_P(ValueReprCorpus, MonitoredStatesAgreeAcrossEvaluators) {
 
   // CountingProfiler claims the corpus' bare A/B labels; the final state
   // renders deterministically, so it must be bit-identical across every
-  // configuration (and, via the CI matrix, across representations).
+  // configuration.
   auto stateOf = [](const RunResult &R) -> std::string {
     return R.FinalStates.empty() ? std::string() : R.FinalStates[0]->str();
   };

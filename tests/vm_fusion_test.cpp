@@ -225,7 +225,7 @@ TEST_P(VMFusionDifferentialTest, FusedAgreesWithMachineAndUnfused) {
   AstContext Ctx;
   const Expr *Prog = monsem::testing::genProgram(Ctx, GetParam());
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
   RunResult Interp = evaluate(Prog, Opts);
   Cascade Empty;
 
@@ -251,7 +251,7 @@ TEST_P(VMFusionDifferentialTest, MonitoredStatesAgreeFusedVsUnfused) {
   AstContext Ctx;
   const Expr *Prog = monsem::testing::genProgram(Ctx, GetParam());
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
 
   // Two disjoint monitors: the corpus annotates with bare labels A/B and
   // m0..m9; each profiler claims a distinct pair, the rest go unclaimed.
@@ -264,7 +264,7 @@ TEST_P(VMFusionDifferentialTest, MonitoredStatesAgreeFusedVsUnfused) {
   Pair.use(CountM);
 
   for (const Cascade *C : {&Single, &Pair}) {
-    RunResult Interp = evaluate(*C & maxSteps(Opts.MaxSteps), Prog);
+    RunResult Interp = evaluate(*C & maxSteps(Opts.Limits.MaxSteps), Prog);
     RunResult F = runVM(*C, Prog, Opts, /*Fuse=*/true);
     RunResult U = runVM(*C, Prog, Opts, /*Fuse=*/false);
     EXPECT_TRUE(U.sameOutcome(F)) << printExpr(Prog);

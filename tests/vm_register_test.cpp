@@ -357,7 +357,7 @@ TEST_P(VMRegisterDifferentialTest, RegisterAgreesWithStackAndMachine) {
   AstContext Ctx;
   const Expr *Prog = genProgram(Ctx, GetParam());
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
   RunResult Interp = evaluate(Prog, Opts);
   Cascade Empty;
 
@@ -401,7 +401,7 @@ TEST_P(VMRegisterDifferentialTest, MonitoredStreamsAreIdentical) {
   AstContext Ctx;
   const Expr *Prog = genProgram(Ctx, GetParam());
   RunOptions Opts;
-  Opts.MaxSteps = 1000000;
+  Opts.Limits.MaxSteps = 1000000;
 
   CountingProfiler CountAB;
   CountingProfiler CountM("m0", "m1");

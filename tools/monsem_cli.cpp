@@ -85,18 +85,7 @@ struct Options {
   std::string File;
   bool Repl = false;
   bool Serve = false;          ///< `monsem serve` subcommand.
-  unsigned Workers = 4;        ///< serve: --workers=N.
-  uint64_t QuantumSteps = 1 << 16; ///< serve: --quantum-steps=N.
-  std::string ListenUnix;      ///< serve: --listen-unix=PATH.
-  int ListenTcp = -1;          ///< serve: --listen-tcp=PORT (0 picks).
-  uint64_t MaxLiveRuns = 0;    ///< serve: --max-live-runs=N (0 uncapped).
-  uint64_t MaxRunsPerTenant = 0;   ///< serve: --max-runs-per-tenant=N.
-  uint64_t MaxResidentBytes = 0;   ///< serve: --max-resident-bytes=N.
-  uint64_t MaxRequestBytes = 1 << 20;  ///< serve: --max-request-bytes=N.
-  uint64_t MaxOutboxBytes = 8u << 20;  ///< serve: --max-outbox-bytes=N.
-  uint64_t IdleTimeoutMs = 0;      ///< serve: --idle-timeout-ms=N.
-  uint64_t SlowReaderMs = 10000;   ///< serve: --slow-reader-ms=N.
-  uint64_t SockSndbufBytes = 0;    ///< serve: --sock-sndbuf-bytes=N.
+  ServeOptions Srv;            ///< serve-only flags (--workers=N, ...).
   bool Imp = false;
   bool Trace = false;
   bool Profile = false;
@@ -109,27 +98,18 @@ struct Options {
   bool Record = false;
   bool Coverage = false;
   bool Debug = false;
-  Backend B = Backend::CEK; ///< --backend=cek|vm|vm-reg|vm-aot|direct.
-  std::string AotCacheDir;  ///< --aot-cache=DIR (vm-aot shared objects).
+  /// --backend, --aot-cache, --strategy, the limits, and the monitor
+  /// fault and durability policies, parsed straight into the run's mode.
+  EvalMode Run;
   bool PE = false;
   bool Prelude = false;
   bool PrintAst = false;
   bool PrintResidual = false;
   bool Disasm = false;
-  Strategy Strat = Strategy::Strict;
-  uint64_t MaxSteps = 0;
-  uint64_t DeadlineMs = 0;
-  uint64_t MaxBytes = 0;
-  uint64_t MaxDepth = 0;
-  FaultPolicy FaultPol = FaultPolicy::Quarantine;
   std::string CheckpointOut;   ///< --checkpoint-out=PATH.
-  uint64_t CheckpointEvery = 0; ///< --checkpoint-every-n-steps=N.
   std::string ResumePath;      ///< --resume=PATH (a checkpoint file).
   std::string JournalPath;     ///< --journal=PATH.
   std::string ResumeJournal;   ///< --resume-journal=PATH.
-  std::string FailPoints;      ///< --failpoints=SPEC (see FailPoint.h).
-  OnDurabilityFailure DurPol = OnDurabilityFailure::RetryThenDegrade;
-  unsigned DurBudget = 3;       ///< --durability-retry-budget=N.
   bool Supervise = false;       ///< --supervise (requires --journal).
   unsigned MaxRestarts = 3;     ///< --max-restarts=N.
   uint64_t RestartBackoffMs = 50; ///< --restart-backoff-ms=N (base).
@@ -146,17 +126,14 @@ struct Options {
 /// whether it has it, shown in --help and after an unknown-backend error
 /// so the valid set is never a guessing game.
 std::string backendAvailability() {
-  std::string S = "cek, vm, vm-reg, direct: always available; ";
-  S += "threaded dispatch ";
+  const std::string Aot = backendCaps(Backend::VMAot).Name;
+  std::string S = "all but " + Aot + " always available; threaded dispatch ";
   S += vmThreadedDispatchAvailable() ? "available" : "unavailable";
-#ifdef MONSEM_VALUE_BOXED
-  S += "; boxed values";
-#else
-  S += "; tagged values";
-#endif
-  S += "; vm-aot ";
-  S += aotAvailable() ? "available (" + aotCompilerId() + ")"
-                      : "unavailable (no C compiler; degrades to vm-reg)";
+  S += "; " + Aot;
+  S += aotAvailable() ? " available (" + aotCompilerId() + ")"
+                      : std::string(" unavailable (no C compiler; degrades "
+                                    "to ") +
+                            backendCaps(Backend::VMRegister).Name + ")";
   return S;
 }
 
@@ -178,7 +155,7 @@ int usage(const char *Argv0) {
       << "    --debug            interactive dbx-style debugger on stdin\n"
       << "    --prelude          wrap the program in the standard prelude\n"
       << "    --strategy=strict|name|need\n"
-      << "    --backend=cek|vm|vm-reg|vm-aot|direct\n"
+      << "    --backend=" << backendNames("|") << "\n"
       << "                       evaluator: CEK machine (default), stack\n"
       << "                       bytecode VM, register bytecode VM, native\n"
       << "                       code over the register tier, or the direct\n"
@@ -186,7 +163,6 @@ int usage(const char *Argv0) {
       << "                       this build: " << backendAvailability() << "\n"
       << "    --aot-cache=DIR    vm-aot shared-object cache directory\n"
       << "                       (default: per-user under TMPDIR)\n"
-      << "    --vm               shorthand for --backend=vm\n"
       << "    --pe               partially evaluate, then run the residual\n"
       << "    --print-ast        show the (annotated) program\n"
       << "    --print-residual   with --pe: show the residual program\n"
@@ -322,52 +298,41 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Debug = true;
     } else if (A == "--prelude") {
       O.Prelude = true;
-    } else if (A == "--vm") {
-      std::cerr << "warning: --vm is deprecated; use --backend=vm\n";
-      O.B = Backend::VM;
     } else if (auto V = Value("--workers=")) {
-      O.Workers = static_cast<unsigned>(std::stoul(*V));
+      O.Srv.Workers = static_cast<unsigned>(std::stoul(*V));
     } else if (auto V = Value("--quantum-steps=")) {
-      O.QuantumSteps = std::stoull(*V);
+      O.Srv.QuantumSteps = std::stoull(*V);
     } else if (auto V = Value("--listen-unix=")) {
-      O.ListenUnix = *V;
+      O.Srv.UnixPath = *V;
     } else if (auto V = Value("--listen-tcp=")) {
-      O.ListenTcp = std::stoi(*V);
+      O.Srv.TcpPort = std::stoi(*V);
     } else if (auto V = Value("--max-live-runs=")) {
-      O.MaxLiveRuns = std::stoull(*V);
+      O.Srv.MaxLiveRuns = std::stoull(*V);
     } else if (auto V = Value("--max-runs-per-tenant=")) {
-      O.MaxRunsPerTenant = std::stoull(*V);
+      O.Srv.MaxRunsPerTenant = std::stoull(*V);
     } else if (auto V = Value("--max-resident-bytes=")) {
-      O.MaxResidentBytes = std::stoull(*V);
+      O.Srv.MaxResidentBytes = std::stoull(*V);
     } else if (auto V = Value("--max-request-bytes=")) {
-      O.MaxRequestBytes = std::stoull(*V);
+      O.Srv.MaxRequestBytes = std::stoull(*V);
     } else if (auto V = Value("--max-outbox-bytes=")) {
-      O.MaxOutboxBytes = std::stoull(*V);
+      O.Srv.MaxOutboxBytes = std::stoull(*V);
     } else if (auto V = Value("--idle-timeout-ms=")) {
-      O.IdleTimeoutMs = std::stoull(*V);
+      O.Srv.IdleTimeoutMs = std::stoull(*V);
     } else if (auto V = Value("--slow-reader-ms=")) {
-      O.SlowReaderMs = std::stoull(*V);
+      O.Srv.SlowReaderMs = std::stoull(*V);
     } else if (auto V = Value("--sock-sndbuf-bytes=")) {
-      O.SockSndbufBytes = std::stoull(*V);
+      O.Srv.SockSndbufBytes = std::stoull(*V);
     } else if (auto V = Value("--backend=")) {
-      if (*V == "cek")
-        O.B = Backend::CEK;
-      else if (*V == "vm")
-        O.B = Backend::VM;
-      else if (*V == "vm-reg")
-        O.B = Backend::VMRegister;
-      else if (*V == "vm-aot")
-        O.B = Backend::VMAot;
-      else if (*V == "direct")
-        O.B = Backend::Direct;
+      if (std::optional<Backend> B = parseBackend(*V))
+        O.Run.B = *B;
       else {
         std::cerr << "error: unknown backend '" << *V
-                  << "' (valid: cek, vm, vm-reg, vm-aot, direct)\n"
+                  << "' (valid: " << backendNames() << ")\n"
                   << "note: " << backendAvailability() << '\n';
         return false;
       }
     } else if (auto V = Value("--aot-cache=")) {
-      O.AotCacheDir = *V;
+      O.Run.AotCacheDir = *V;
     } else if (A == "--pe") {
       O.PE = true;
     } else if (A == "--print-ast") {
@@ -378,28 +343,28 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Disasm = true;
     } else if (auto V = Value("--strategy=")) {
       if (*V == "strict")
-        O.Strat = Strategy::Strict;
+        O.Run.Strat = Strategy::Strict;
       else if (*V == "name")
-        O.Strat = Strategy::CallByName;
+        O.Run.Strat = Strategy::CallByName;
       else if (*V == "need")
-        O.Strat = Strategy::CallByNeed;
+        O.Run.Strat = Strategy::CallByNeed;
       else
         return false;
     } else if (auto V = Value("--max-steps=")) {
-      O.MaxSteps = std::stoull(*V);
+      O.Run.Limits.MaxSteps = std::stoull(*V);
     } else if (auto V = Value("--deadline-ms=")) {
-      O.DeadlineMs = std::stoull(*V);
+      O.Run.Limits.DeadlineMs = std::stoull(*V);
     } else if (auto V = Value("--max-bytes=")) {
-      O.MaxBytes = std::stoull(*V);
+      O.Run.Limits.MaxArenaBytes = std::stoull(*V);
     } else if (auto V = Value("--max-depth=")) {
-      O.MaxDepth = std::stoull(*V);
+      O.Run.Limits.MaxDepth = std::stoull(*V);
     } else if (auto V = Value("--monitor-fault-policy=")) {
-      if (!parseFaultPolicy(*V, O.FaultPol))
+      if (!parseFaultPolicy(*V, O.Run.MonitorFaultPolicy))
         return false;
     } else if (auto V = Value("--checkpoint-out=")) {
       O.CheckpointOut = *V;
     } else if (auto V = Value("--checkpoint-every-n-steps=")) {
-      O.CheckpointEvery = std::stoull(*V);
+      O.Run.CheckpointEveryNSteps = std::stoull(*V);
     } else if (auto V = Value("--resume=")) {
       O.ResumePath = *V;
     } else if (auto V = Value("--journal=")) {
@@ -412,15 +377,14 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         std::cerr << "error: bad --failpoints spec: " << Err << '\n';
         return false;
       }
-      O.FailPoints = *V;
     } else if (auto V = Value("--on-durability-failure=")) {
-      if (!parseDurabilityPolicy(*V, O.DurPol)) {
+      if (!parseDurabilityPolicy(*V, O.Run.DurabilityPolicy)) {
         std::cerr << "error: unknown durability policy '" << *V
                   << "' (valid: abort, degrade, retry)\n";
         return false;
       }
     } else if (auto V = Value("--durability-retry-budget=")) {
-      O.DurBudget = static_cast<unsigned>(std::stoul(*V));
+      O.Run.DurabilityRetryBudget = static_cast<unsigned>(std::stoul(*V));
     } else if (A == "--supervise") {
       O.Supervise = true;
     } else if (auto V = Value("--max-restarts=")) {
@@ -486,28 +450,8 @@ std::vector<Symbol> toSymbols(const std::vector<std::string> &Names) {
 /// file sink exactly like the journal), and the tracker becomes the run's
 /// arbiter.
 EvalMode modeFor(const Options &O, DurabilityTracker *Tracker = nullptr) {
-  EvalMode M = StrategyTag{O.Strat} & cancelOn(GCancel) &
-               onMonitorFault(O.FaultPol) &
-               onDurabilityFailure(O.DurPol, O.DurBudget);
+  EvalMode M = O.Run & cancelOn(GCancel);
   M.Durability = Tracker;
-  if (O.MaxSteps)
-    M = M & maxSteps(O.MaxSteps);
-  if (O.DeadlineMs)
-    M = M & deadlineMs(O.DeadlineMs);
-  if (O.MaxBytes)
-    M = M & maxArenaBytes(O.MaxBytes);
-  if (O.MaxDepth)
-    M = M & maxDepth(O.MaxDepth);
-  if (O.B == Backend::VM)
-    M = M & kVM;
-  else if (O.B == Backend::VMRegister)
-    M = M & kVMReg;
-  else if (O.B == Backend::VMAot)
-    M = M & kVMAot;
-  else if (O.B == Backend::Direct)
-    M = M & kDirect;
-  if (!O.AotCacheDir.empty())
-    M.AotCacheDir = O.AotCacheDir;
   if (!O.CheckpointOut.empty()) {
     std::string Path = O.CheckpointOut;
     M = M & checkpointInto([Path, Tracker](const Checkpoint &CK) {
@@ -521,14 +465,7 @@ EvalMode modeFor(const Options &O, DurabilityTracker *Tracker = nullptr) {
                       << "': " << Err << '\n';
         });
   }
-  if (O.CheckpointEvery)
-    M = M & checkpointEveryNSteps(O.CheckpointEvery);
   return M;
-}
-
-/// Imp runs use the same limits via the mode's RunOptions.
-ResourceLimits limitsFor(const Options &O) {
-  return modeFor(O).Limits;
 }
 
 void printFaults(const std::vector<MonitorFault> &Faults) {
@@ -576,9 +513,8 @@ int runImperative(const Options &O, const std::string &Source) {
   }
 
   ImpRunOptions Opts;
-  Opts.MaxSteps = O.MaxSteps;
-  Opts.Limits = limitsFor(O);
-  Opts.MonitorFaultPolicy = O.FaultPol;
+  Opts.Limits = modeFor(O).Limits; // The functional runs' limits.
+  Opts.MonitorFaultPolicy = O.Run.MonitorFaultPolicy;
   Opts.Input = O.ImpInput;
   ImpRunResult R = runImp(C, Program, Opts);
   printFaults(R.MonitorFaults);
@@ -665,7 +601,8 @@ int runFunctional(const Options &O, const std::string &Source) {
   // one EvalMode routed through the unified evaluate() entry. The tracker
   // arbitrates every durable sink of this run, including the checkpoint
   // file sink modeFor builds.
-  DurabilityTracker Tracker(O.DurPol, O.DurBudget);
+  DurabilityTracker Tracker(O.Run.DurabilityPolicy,
+                            O.Run.DurabilityRetryBudget);
   EvalMode Mode = modeFor(O, &Tracker);
 
   // Resume: from an explicit checkpoint file, or from the last durable
@@ -706,22 +643,18 @@ int runFunctional(const Options &O, const std::string &Source) {
       return 1;
     }
   }
-  if (CK.valid()) {
-    // Backend and strategy are recorded in the checkpoint; adopt them so
-    // `--resume=F` alone continues the run the way it was started. The
-    // monitor flags still have to match (the monitor section is checked
-    // name-by-name when the machine restores).
-    Mode = Mode & resumeFrom(CK);
-    // A VM checkpoint is tier-portable: an explicit --backend=vm-reg or
-    // --backend=vm-aot keeps that tier, anything else resumes on the
-    // stack VM.
-    if (CK.header().Backend == CheckpointBackend::VM) {
-      if (Mode.B != Backend::VMRegister && Mode.B != Backend::VMAot)
-        Mode.B = Backend::VM;
-    } else {
-      Mode.B = Backend::CEK;
-    }
-    Mode.Strat = static_cast<Strategy>(CK.header().Strategy);
+  // `--resume=F` alone continues the run the way it was started. The
+  // monitor flags still have to match (the monitor section is checked
+  // name-by-name when the machine restores).
+  if (CK.valid())
+    Mode = resumeAsWritten(std::move(Mode), CK);
+
+  // The driver's capability table, asked before the journal file exists:
+  // a refused run leaves nothing behind.
+  std::string Refusal = capabilityError(Mode, !O.JournalPath.empty());
+  if (!Refusal.empty()) {
+    std::cerr << "error: " << Refusal << '\n';
+    return exitCodeFor(Outcome::Error);
   }
 
   // Crash-safe journal: every probe event and emitted checkpoint is
@@ -784,31 +717,23 @@ int runFunctional(const Options &O, const std::string &Source) {
       std::cerr << LintDiags.str() << '\n';
   }
 
-  if (O.B == Backend::VM || O.B == Backend::VMRegister ||
-      O.B == Backend::VMAot) {
-    if (O.Strat != Strategy::Strict) {
-      std::cerr << "error: the bytecode backends support the strict "
-                   "strategy only\n";
-      return 2;
-    }
-    if (O.Disasm) {
-      DiagnosticSink Diags;
-      if (auto CP = compileProgram(Program, Diags)) {
-        // Under the register backends, show the program the way that tier
-        // runs it; fall back to the stack listing if lowering declines.
-        // vm-aot additionally shows the C the emitter would hand to the
-        // system compiler for the eligible leaf blocks.
-        if (O.B == Backend::VMRegister || O.B == Backend::VMAot) {
-          if (auto RP = lowerToRegisters(*CP)) {
-            std::cout << RP->disassemble();
-            if (O.B == Backend::VMAot)
-              std::cout << '\n' << aotEmitSource(*RP);
-          } else {
-            std::cout << CP->disassemble();
-          }
+  if (O.Disasm && O.Run.B != Backend::CEK && O.Run.B != Backend::Direct) {
+    DiagnosticSink Diags;
+    if (auto CP = compileProgram(Program, Diags)) {
+      // Under the register backends, show the program the way that tier
+      // runs it; fall back to the stack listing if lowering declines.
+      // vm-aot additionally shows the C the emitter would hand to the
+      // system compiler for the eligible leaf blocks.
+      if (O.Run.B == Backend::VMRegister || O.Run.B == Backend::VMAot) {
+        if (auto RP = lowerToRegisters(*CP)) {
+          std::cout << RP->disassemble();
+          if (O.Run.B == Backend::VMAot)
+            std::cout << '\n' << aotEmitSource(*RP);
         } else {
           std::cout << CP->disassemble();
         }
+      } else {
+        std::cout << CP->disassemble();
       }
     }
   }
@@ -932,7 +857,7 @@ int runSupervised(Options O, const std::string &Source) {
 int runRepl(const Options &Base) {
   std::vector<std::pair<std::string, std::string>> Defs; // name, source.
   bool Trace = false, Profile = false;
-  Strategy Strat = Base.Strat;
+  Strategy Strat = Base.Run.Strat;
 
   std::cout << "monsem repl — :let f = <expr>, :monitor trace|profile|off,\n"
             << ":strategy strict|name|need, :defs, :quit; anything else "
@@ -1012,7 +937,7 @@ int runRepl(const Options &Base) {
     // Same single assembly point as the batch path; only the strategy is
     // REPL-local state.
     Options ReplOpts = Base;
-    ReplOpts.Strat = Strat;
+    ReplOpts.Run.Strat = Strat;
     EvalMode Mode = modeFor(ReplOpts);
     Cascade &C = Mode.C;
     if (Trace) {
@@ -1055,24 +980,12 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
   std::signal(SIGINT, onInterrupt);
   if (O.Serve) {
-    ServeOptions SO;
-    SO.Workers = O.Workers;
-    SO.QuantumSteps = O.QuantumSteps;
-    SO.MaxSteps = O.MaxSteps;
-    SO.DeadlineMs = O.DeadlineMs;
-    SO.MaxBytes = O.MaxBytes;
-    SO.MaxDepth = O.MaxDepth;
+    ServeOptions SO = O.Srv;
+    SO.MaxSteps = O.Run.Limits.MaxSteps;
+    SO.DeadlineMs = O.Run.Limits.DeadlineMs;
+    SO.MaxBytes = O.Run.Limits.MaxArenaBytes;
+    SO.MaxDepth = O.Run.Limits.MaxDepth;
     SO.JournalDir = O.JournalPath; // --journal=DIR in serve mode.
-    SO.UnixPath = O.ListenUnix;
-    SO.TcpPort = O.ListenTcp;
-    SO.MaxLiveRuns = O.MaxLiveRuns;
-    SO.MaxRunsPerTenant = O.MaxRunsPerTenant;
-    SO.MaxResidentBytes = O.MaxResidentBytes;
-    SO.MaxRequestBytes = O.MaxRequestBytes;
-    SO.MaxOutboxBytes = O.MaxOutboxBytes;
-    SO.IdleTimeoutMs = O.IdleTimeoutMs;
-    SO.SlowReaderMs = O.SlowReaderMs;
-    SO.SockSndbufBytes = O.SockSndbufBytes;
     SO.Interrupt = &GCancel; // First ^C drains politely; second hard-exits.
     return runServe(SO);
   }
