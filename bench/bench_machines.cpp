@@ -30,7 +30,9 @@
 #include "compile/Compiler.h"
 #include "compile/VM.h"
 #include "interp/Direct.h"
+#include "monitors/Profiler.h"
 #include "monitors/Tracer.h"
+#include "syntax/Annotator.h"
 
 #include <benchmark/benchmark.h>
 
@@ -774,6 +776,114 @@ double reportCheckpoint(JsonlWriter &W, bool Quick) {
   return Median > DurableMedian ? Median : DurableMedian;
 }
 
+//===----------------------------------------------------------------------===//
+// Monitored runs
+//===----------------------------------------------------------------------===//
+
+/// The probe path's cost on each fast tier: fib 20 with its function body
+/// annotated for the call profiler (Fig. 6; 21891 probes), against the same
+/// tier unmonitored. Only the run loop is timed — resolution, compilation,
+/// lowering and the AOT load happen once outside it, as in a warm session —
+/// and every monitored run starts from fresh monitor states. The answer and
+/// the profile are checked before any timing. Rows `<tier>+profile` record
+/// the monitored time; returns the interleaved monitored/unmonitored ratio
+/// on vm-reg so CI can bound it (--assert-monitor-overhead=R).
+double reportMonitored(JsonlWriter &W, bool Quick) {
+  std::printf("monitored — call profiler on fib 20 vs the same tier plain\n");
+  printRule();
+  std::printf("%-14s %12s %12s %9s\n", "tier", "plain ms", "profile ms",
+              "ratio");
+  printRule();
+
+  auto P = parseOrDie(LargeSrc);
+  AnnotateOptions AO;
+  AO.Qualifier = Symbol::intern("profile");
+  const Expr *Annotated =
+      annotateFunctionBodies(P->context(), P->root(), {}, AO);
+  CallProfiler Prof;
+  Cascade C = cascadeOf({&Prof});
+  RunOptions Opts;
+  Opts.VMThreaded = vmThreadedDispatchAvailable();
+  Opts.ReuseTailFrames = true;
+
+  auto Res0 = resolveProgram(P->root());
+  auto Res1 = resolveProgram(Annotated);
+  DiagnosticSink Diags;
+  auto CP0 = compileProgram(P->root(), Diags);
+  auto CP1 = compileProgram(Annotated, Diags);
+  if (!Res0->ok() || !Res1->ok() || !CP0 || !CP1) {
+    std::fprintf(stderr, "monitored: cannot resolve or compile fib 20\n");
+    std::exit(1);
+  }
+  auto RP0 = lowerToRegisters(*CP0);
+  auto RP1 = lowerToRegisters(*CP1);
+  if (!RP0 || !RP1) {
+    std::fprintf(stderr, "monitored: register lowering failed\n");
+    std::exit(1);
+  }
+
+  double RegRatio = 0;
+  // Plain() and Mon(Hooks) each run the tier once.
+  auto Row = [&](const char *Tier, auto Plain, auto Mon) {
+    RunResult R0 = Plain();
+    RuntimeCascade Check(C);
+    RunResult R1 = Mon(&Check);
+    auto States = Check.takeStates();
+    if (!R0.Ok || !R1.Ok || R1.ValueText != R0.ValueText ||
+        CallProfiler::state(*States[0]).count("fib") != 21891) {
+      std::fprintf(stderr, "FAIL: monitored %s run disagrees (%s/%s)\n",
+                   Tier, R1.ValueText.c_str(), R0.ValueText.c_str());
+      std::exit(1);
+    }
+    auto Monitored = [&] {
+      RuntimeCascade RC(C);
+      Mon(&RC);
+    };
+    double PlainMs = medianMs([&] { Plain(); }, Quick ? 3 : 9);
+    double MonMs = medianMs(Monitored, Quick ? 3 : 9);
+    double Ratio = medianRatio([&] { Plain(); }, Monitored, Quick ? 9 : 11);
+    W.write({"fib 20", std::string(Tier) + "+profile", "strict", MonMs * 1e6,
+             R1.Steps, R1.ArenaBytes});
+    std::printf("%-14s %12.3f %12.3f %8.2fx\n", Tier, PlainMs, MonMs, Ratio);
+    return Ratio;
+  };
+
+  RunOptions CekOpts = optionsFor(kVariants[2]);
+  Row(
+      "cek",
+      [&] {
+        return ResolvedMachine(P->root(), CekOpts, NoMonitorPolicy(),
+                               Res0.get())
+            .run();
+      },
+      [&](MonitorHooks *H) {
+        return ResolvedMonitoredMachine(Annotated, CekOpts,
+                                        DynamicMonitorPolicy{H}, Res1.get())
+            .run();
+      });
+  RegRatio = Row(
+      "vm-reg", [&] { return runRegisterProgram(*RP0, nullptr, Opts); },
+      [&](MonitorHooks *H) { return runRegisterProgram(*RP1, H, Opts); });
+  if (aotAvailable()) {
+    std::string Why;
+    auto Lib0 = aotLoad(*RP0, /*CacheDir=*/"", &Why);
+    auto Lib1 = Lib0 ? aotLoad(*RP1, /*CacheDir=*/"", &Why) : nullptr;
+    if (!Lib0 || !Lib1) {
+      std::fprintf(stderr, "monitored: aotLoad failed: %s\n", Why.c_str());
+      std::exit(1);
+    }
+    Row(
+        "vm-aot", [&] { return runAotProgram(*RP0, *Lib0, nullptr, Opts); },
+        [&](MonitorHooks *H) { return runAotProgram(*RP1, *Lib1, H, Opts); });
+  } else {
+    std::printf("%-14s unavailable (no C compiler)\n", "vm-aot");
+  }
+  printRule();
+  std::printf("ratio = monitored / plain, interleaved; the call profiler "
+              "counts every\ncall of fib (one probe pair per call).\n\n");
+  return RegRatio;
+}
+
 } // namespace
 
 static void reportTable() {
@@ -869,6 +979,7 @@ int main(int argc, char **argv) {
   double MinRegisterSpeedup = -1; // <0: report only, no assertion.
   double MinAotSpeedup = -1;     // <0: report only, no assertion.
   double MaxCheckpointPct = -1;  // <0: report only, no assertion.
+  double MaxMonitorRatio = -1;   // <0: report only, no assertion.
   std::string JsonPath = "BENCH_machines.json";
   // Strip our flags before handing argv to google-benchmark.
   int Kept = 1;
@@ -887,6 +998,8 @@ int main(int argc, char **argv) {
       MinAotSpeedup = std::atof(argv[I] + 24);
     else if (std::strncmp(argv[I], "--assert-checkpoint-overhead=", 29) == 0)
       MaxCheckpointPct = std::atof(argv[I] + 29);
+    else if (std::strncmp(argv[I], "--assert-monitor-overhead=", 26) == 0)
+      MaxMonitorRatio = std::atof(argv[I] + 26);
     else
       argv[Kept++] = argv[I];
   }
@@ -900,6 +1013,14 @@ int main(int argc, char **argv) {
   std::vector<double> AotSpeedups = reportAotVM(W, Quick);
   double GovMedian = reportGovernor(W, Quick);
   double CkMedian = reportCheckpoint(W, Quick);
+  double MonRatio = reportMonitored(W, Quick);
+  if (MaxMonitorRatio >= 0 && MonRatio > MaxMonitorRatio) {
+    std::fprintf(stderr,
+                 "FAIL: monitored/plain ratio %.2fx on vm-reg exceeds the "
+                 "%.2fx bound\n",
+                 MonRatio, MaxMonitorRatio);
+    return 1;
+  }
   if (MaxCheckpointPct >= 0 && CkMedian > 1.0 + MaxCheckpointPct / 100.0) {
     std::fprintf(
         stderr, "FAIL: checkpoint overhead %.2f%% exceeds the %.2f%% bound\n",

@@ -83,7 +83,7 @@ void ImpRuntimeCascade::pre(const Annotation &Ann, const Cmd &Cm,
   if (Idx < 0)
     return;
   ImpMonitorEvent Ev{Ann, Cm, ImpStoreView(S), Step};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann,
             /*InPost=*/false, Step,
             [&] { C.monitor(Idx).pre(Ev, *States[Idx]); });
 }
@@ -94,7 +94,7 @@ void ImpRuntimeCascade::post(const Annotation &Ann, const Cmd &Cm,
   if (Idx < 0)
     return;
   ImpMonitorEvent Ev{Ann, Cm, ImpStoreView(S), Step};
-  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann.text(),
+  Iso.guard(static_cast<unsigned>(Idx), C.monitor(Idx).name(), Ann,
             /*InPost=*/true, Step,
             [&] { C.monitor(Idx).post(Ev, *States[Idx]); });
 }

@@ -48,6 +48,12 @@ public:
     }
     return Out + "]";
   }
+
+  /// Counters[Label], reached through the per-run label slots.
+  uint64_t &counter(Symbol Label) { return Slots.in(Counters, Label); }
+
+private:
+  LabelSlots<uint64_t> Slots;
 };
 
 class ImpStmtProfiler : public ImpMonitor {
@@ -60,8 +66,7 @@ public:
     return std::make_unique<ImpStmtProfilerState>();
   }
   void pre(const ImpMonitorEvent &Ev, MonitorState &S) const override {
-    ++static_cast<ImpStmtProfilerState &>(S)
-          .Counters[std::string(Ev.Ann.Head.str())];
+    ++static_cast<ImpStmtProfilerState &>(S).counter(Ev.Ann.Head);
   }
   void post(const ImpMonitorEvent &, MonitorState &) const override {}
 

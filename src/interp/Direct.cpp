@@ -215,24 +215,27 @@ DirectFunctional monsem::deriveMonitoring(DirectFunctional G, const Monitor &M,
                                           DirectContext &Ctx,
                                           FaultIsolator *Iso,
                                           unsigned MonitorIdx) {
-  return [G, &M, &State, &MCtx, &Ctx, Iso, MonitorIdx](
+  // The qualifier this monitor claims, interned once so the per-probe
+  // ownership test is a handle comparison.
+  Symbol Qual = M.name().empty() ? Symbol() : Symbol::intern(M.name());
+  return [G, &M, &State, &MCtx, &Ctx, Iso, MonitorIdx, Qual](
              const DirectValuation &Self) -> DirectValuation {
     // Gbar Vbar: for non-annotated syntax, inherit G's equations (with the
     // *derived* fixpoint Vbar as the recursive valuation).
     DirectValuation Inherited = G(Self);
-    return [&M, &State, &MCtx, &Ctx, Iso, MonitorIdx, Inherited, Self](
+    return [&M, &State, &MCtx, &Ctx, Iso, MonitorIdx, Qual, Inherited, Self](
                const Expr *E, EnvNode *Env, const DirectKont &K) {
       if (Ctx.stopped())
         return;
       if (const auto *N = dyn_cast<AnnotExpr>(E)) {
         const Annotation &Ann = *N->Ann;
-        bool Mine = Ann.Qual ? Ann.Qual.str() == M.name() : M.accepts(Ann);
+        bool Mine = Ann.Qual ? Ann.Qual == Qual : M.accepts(Ann);
         if (Mine) {
           // (Vbar [sbar'] a* kpost) . updPre   (Definition 4.2)
           MonitorEvent Pre{Ann,      *N->Inner, EnvView(Env),
                            Ctx.Calls, Ctx.A.bytesAllocated(), MCtx};
           if (Iso)
-            Iso->guard(MonitorIdx, M.name(), Ann.text(), /*InPost=*/false,
+            Iso->guard(MonitorIdx, M.name(), Ann, /*InPost=*/false,
                        Ctx.Calls, [&] { M.pre(Pre, State); });
           else
             M.pre(Pre, State);
@@ -243,7 +246,7 @@ DirectFunctional monsem::deriveMonitoring(DirectFunctional G, const Monitor &M,
             MonitorEvent Post{*N->Ann,   *Inner, EnvView(Env), Ctx.Calls,
                               Ctx.A.bytesAllocated(), MCtx};
             if (Iso)
-              Iso->guard(MonitorIdx, M.name(), N->Ann->text(),
+              Iso->guard(MonitorIdx, M.name(), *N->Ann,
                          /*InPost=*/true, Ctx.Calls,
                          [&] { M.post(Post, V, State); });
             else

@@ -123,10 +123,11 @@ struct RunOptions {
   /// governor's pause schedule, so the hot loop stays one compare per step.
   uint64_t CheckpointEveryNSteps = 0;
   /// In-process observer of every probe event, called with (step, text)
-  /// where the text is the canonical journal rendering (probePreText /
-  /// probePostText), so a tapped stream is byte-identical to a journaled
-  /// one. The driver wraps the run's hooks in EventTapHooks; `monsem
-  /// serve` uses this to stream probe batches to clients. Null = off.
+  /// where the text is the canonical journal rendering
+  /// (appendProbePreText / appendProbePostText), so a tapped stream is
+  /// byte-identical to a journaled one. The driver wraps the run's hooks
+  /// in EventTapHooks; `monsem serve` uses this to stream probe batches
+  /// to clients. Null = off.
   std::function<void(uint64_t Step, const std::string &Text)> EventSink;
   /// Append every probe event to this crash-safe journal (the driver wraps
   /// the run's hooks in JournalingHooks). Null disables journaling. The

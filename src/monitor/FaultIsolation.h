@@ -26,12 +26,17 @@
 ///
 /// `FaultIsolator` is evaluator-agnostic: RuntimeCascade (CEK machine and
 /// bytecode VM), the direct CPS interpreter's deriveMonitoring, and
-/// ImpRuntimeCascade all guard their hook invocations through it.
+/// ImpRuntimeCascade all guard their hook invocations through it. The
+/// guard is on every probe's path, so it receives the probe's annotation
+/// and renders the site text (`Annotation::text()`) only when a fault is
+/// actually recorded.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MONSEM_MONITOR_FAULTISOLATION_H
 #define MONSEM_MONITOR_FAULTISOLATION_H
+
+#include "syntax/Ast.h"
 
 #include <cstdint>
 #include <stdexcept>
@@ -94,9 +99,10 @@ public:
   /// Runs \p Hook inside the fault boundary for monitor \p Idx. A hook of
   /// a quarantined monitor is skipped. Anything the hook throws is caught
   /// and handled per the monitor's policy; only MonitorAbort (policy
-  /// Abort) propagates to the caller.
+  /// Abort) propagates to the caller. \p Site is the probe's annotation;
+  /// its text is rendered only if the hook faults.
   template <typename Fn>
-  void guard(unsigned Idx, std::string_view Name, std::string_view Site,
+  void guard(unsigned Idx, std::string_view Name, const Annotation &Site,
              bool InPost, uint64_t Step, Fn &&Hook) {
     if (quarantined(Idx))
       return;
@@ -122,7 +128,7 @@ private:
   /// Records the fault and applies the policy. Returns true to retry the
   /// hook, false to skip it and continue the run; throws MonitorAbort
   /// under FaultPolicy::Abort.
-  bool onFault(unsigned Idx, std::string_view Name, std::string_view Site,
+  bool onFault(unsigned Idx, std::string_view Name, const Annotation &Site,
                bool InPost, uint64_t Step, std::string Message);
 
   struct Slot {

@@ -25,15 +25,22 @@
 
 namespace monsem {
 
-/// The canonical one-line rendering of a probe event. The journal, the
-/// event tap (RunOptions::EventSink — what `monsem serve` streams to
-/// clients), and the `--resume-journal` tail printer all share these two
-/// functions, so every event stream a run can emit is byte-identical.
-inline std::string probePreText(const Annotation &Ann) {
-  return "pre " + Ann.text();
+/// The canonical one-line rendering of a probe event, appended to \p Out.
+/// The journal and the event tap (RunOptions::EventSink — what `monsem
+/// serve` streams to clients) both render through these, each into a
+/// buffer it reuses across events, so every event stream a run can emit
+/// (and the `--resume-journal` tail, which prints journaled text) is
+/// byte-identical.
+inline void appendProbePreText(std::string &Out, const Annotation &Ann) {
+  Out += "pre ";
+  Ann.appendText(Out);
 }
-inline std::string probePostText(const Annotation &Ann, Value Result) {
-  return "post " + Ann.text() + " = " + toDisplayString(Result);
+inline void appendProbePostText(std::string &Out, const Annotation &Ann,
+                                Value Result) {
+  Out += "post ";
+  Ann.appendText(Out);
+  Out += " = ";
+  appendDisplayString(Out, Result);
 }
 
 class MonitorHooks {
@@ -86,13 +93,21 @@ public:
 
   void pre(const Annotation &Ann, const Expr &E, EnvView Env,
            uint64_t StepIndex, uint64_t AllocatedBytes) override {
-    append(StepIndex, probePreText(Ann));
+    if (live()) {
+      Text.clear();
+      appendProbePreText(Text, Ann);
+      append(StepIndex);
+    }
     Inner.pre(Ann, E, Env, StepIndex, AllocatedBytes);
   }
 
   void post(const Annotation &Ann, const Expr &E, EnvView Env, Value Result,
             uint64_t StepIndex, uint64_t AllocatedBytes) override {
-    append(StepIndex, probePostText(Ann, Result));
+    if (live()) {
+      Text.clear();
+      appendProbePostText(Text, Ann, Result);
+      append(StepIndex);
+    }
     Inner.post(Ann, E, Env, Result, StepIndex, AllocatedBytes);
   }
 
@@ -104,9 +119,11 @@ public:
   }
 
 private:
-  void append(uint64_t StepIndex, std::string Text) {
-    if (Durability && Durability->degraded("journal"))
-      return;
+  /// False once the journal sink is demoted: events are then neither
+  /// rendered nor appended.
+  bool live() const { return !Durability || !Durability->degraded("journal"); }
+
+  void append(uint64_t StepIndex) {
     if (!J.appendEvent(StepIndex, Text) && Durability)
       Durability->report("journal", J.error(), StepIndex);
   }
@@ -114,6 +131,7 @@ private:
   MonitorHooks &Inner;
   Journal &J;
   DurabilityTracker *Durability;
+  std::string Text; ///< The current event's rendering, reused per event.
 };
 
 /// Decorator that hands every probe event — rendered with the same
@@ -132,13 +150,17 @@ public:
 
   void pre(const Annotation &Ann, const Expr &E, EnvView Env,
            uint64_t StepIndex, uint64_t AllocatedBytes) override {
-    Tap(StepIndex, probePreText(Ann));
+    Text.clear();
+    appendProbePreText(Text, Ann);
+    Tap(StepIndex, Text);
     Inner.pre(Ann, E, Env, StepIndex, AllocatedBytes);
   }
 
   void post(const Annotation &Ann, const Expr &E, EnvView Env, Value Result,
             uint64_t StepIndex, uint64_t AllocatedBytes) override {
-    Tap(StepIndex, probePostText(Ann, Result));
+    Text.clear();
+    appendProbePostText(Text, Ann, Result);
+    Tap(StepIndex, Text);
     Inner.post(Ann, E, Env, Result, StepIndex, AllocatedBytes);
   }
 
@@ -152,6 +174,7 @@ public:
 private:
   MonitorHooks &Inner;
   Sink Tap;
+  std::string Text; ///< The current event's rendering, reused per event.
 };
 
 } // namespace monsem

@@ -64,6 +64,68 @@ public:
   virtual void load(Deserializer &D) {}
 };
 
+/// A per-run index from a label's dense `Symbol::id()` to the entry that
+/// label keys in a monitor state's table. A label-keyed state keeps its
+/// table keyed by spelling (so str() and save() order by spelling, not by
+/// intern order), but a probe that searched it by spelling would build a
+/// `std::string` key and walk an ordered map of string compares every
+/// time. Through the slots a probe costs a few indexed loads; the key is
+/// built only on a label's first probe in the run, by \p Make in get().
+///
+/// The slots hold addresses of table nodes, which std::map and std::set
+/// keep stable under insertion; a state that clears or erases from its
+/// table (load()) must call reset(). They are a per-run cache and live in
+/// the MonitorState, never in the Monitor, which concurrent runs share.
+/// Ids are process-wide and only grow, so the index is paged: a run pays
+/// for the pages its labels fall in, not for every symbol ever interned.
+template <typename T> class LabelSlots {
+public:
+  LabelSlots() = default;
+  LabelSlots(LabelSlots &&) = default;
+  LabelSlots &operator=(LabelSlots &&) = default;
+  /// A copied state starts with no slots: the source's point into the
+  /// source's table.
+  LabelSlots(const LabelSlots &) {}
+  LabelSlots &operator=(const LabelSlots &) {
+    reset();
+    return *this;
+  }
+
+  /// The entry for \p Label. On the label's first use, \p Make is called
+  /// with its spelling and returns the (found or created) entry.
+  template <typename MakeFn> T &get(Symbol Label, MakeFn &&Make) {
+    size_t Page = Label.id() / kPageSize, Slot = Label.id() % kPageSize;
+    if (Page < Pages.size() && Pages[Page] && Pages[Page][Slot])
+      return *Pages[Page][Slot];
+    if (Page >= Pages.size())
+      Pages.resize(Page + 1);
+    if (!Pages[Page])
+      Pages[Page] = std::make_unique<T *[]>(kPageSize);
+    T &Entry = Make(std::string(Label.str()));
+    Pages[Page][Slot] = &Entry;
+    return Entry;
+  }
+
+  /// `Map[spelling of Label]`, default-constructed on first use.
+  template <typename MapT> T &in(MapT &Map, Symbol Label) {
+    return get(Label, [&Map](std::string Key) -> T & {
+      return Map.try_emplace(std::move(Key)).first->second;
+    });
+  }
+
+  void reset() { Pages.clear(); }
+
+private:
+  static constexpr size_t kPageSize = 64;
+  std::vector<std::unique_ptr<T *[]>> Pages;
+};
+
+/// The label a checkpointed spelling names; the empty spelling (never a
+/// real label) maps to the empty Symbol, whose str() is empty again.
+inline Symbol labelSymbol(std::string_view Spelling) {
+  return Spelling.empty() ? Symbol() : Symbol::intern(Spelling);
+}
+
 /// Read-only view of the semantic context (the A*_i arguments: for
 /// L_lambda, the environment rho) that a monitoring function receives.
 class EnvView {

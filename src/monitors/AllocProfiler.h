@@ -31,7 +31,7 @@ public:
 
   std::map<std::string, Entry, std::less<>> Entries;
   /// Live probes: (label, bytes at entry).
-  std::vector<std::pair<std::string, uint64_t>> Stack;
+  std::vector<std::pair<Symbol, uint64_t>> Stack;
 
   const Entry *entry(std::string_view Label) const {
     auto It = Entries.find(Label);
@@ -61,13 +61,14 @@ public:
     }
     S.writeU32(static_cast<uint32_t>(Stack.size()));
     for (const auto &[Label, Start] : Stack) {
-      S.writeString(Label);
+      S.writeString(Label.str());
       S.writeU64(Start);
     }
   }
   void load(Deserializer &D) override {
     Entries.clear();
     Stack.clear();
+    Slots.reset();
     uint32_t NE = D.readU32();
     for (uint32_t I = 0; I < NE && D.ok(); ++I) {
       std::string Label = D.readString();
@@ -81,9 +82,15 @@ public:
     for (uint32_t I = 0; I < NS && D.ok(); ++I) {
       std::string Label = D.readString();
       uint64_t Start = D.readU64();
-      Stack.emplace_back(std::move(Label), Start);
+      Stack.emplace_back(labelSymbol(Label), Start);
     }
   }
+
+  /// Entries[Label], reached through the per-run label slots.
+  Entry &entryFor(Symbol Label) { return Slots.in(Entries, Label); }
+
+private:
+  LabelSlots<Entry> Slots;
 };
 
 class AllocProfiler : public Monitor {
@@ -98,7 +105,7 @@ public:
 
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<AllocProfilerState &>(State);
-    S.Stack.emplace_back(std::string(Ev.Ann.Head.str()), Ev.AllocatedBytes);
+    S.Stack.emplace_back(Ev.Ann.Head, Ev.AllocatedBytes);
   }
 
   void post(const MonitorEvent &Ev, Value, MonitorState &State) const override {
@@ -109,7 +116,7 @@ public:
     S.Stack.pop_back();
     uint64_t Bytes =
         Ev.AllocatedBytes >= Start ? Ev.AllocatedBytes - Start : 0;
-    auto &E = S.Entries[Label];
+    auto &E = S.entryFor(Label);
     ++E.Calls;
     E.TotalBytes += Bytes;
     if (Bytes > E.MaxBytes)

@@ -14,6 +14,7 @@
 
 #include "monitor/MonitorSpec.h"
 
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,7 +25,8 @@ class CallGraphState : public MonitorState {
 public:
   /// (caller, callee) -> count. The synthetic root caller is "<root>".
   std::map<std::pair<std::string, std::string>, uint64_t> Edges;
-  std::vector<std::string> Stack;
+  /// Live probes' labels, innermost last.
+  std::vector<Symbol> Stack;
 
   uint64_t edge(std::string_view From, std::string_view To) const {
     auto It = Edges.find({std::string(From), std::string(To)});
@@ -52,12 +54,15 @@ public:
       S.writeU64(N);
     }
     S.writeU32(static_cast<uint32_t>(Stack.size()));
-    for (const std::string &Name : Stack)
-      S.writeString(Name);
+    for (Symbol Name : Stack)
+      S.writeString(Name.str());
   }
   void load(Deserializer &D) override {
     Edges.clear();
     Stack.clear();
+    RootRow.reset();
+    Rows.reset();
+    RowStore.clear();
     uint32_t NE = D.readU32();
     for (uint32_t I = 0; I < NE && D.ok(); ++I) {
       std::string From = D.readString();
@@ -66,8 +71,30 @@ public:
     }
     uint32_t NS = D.readU32();
     for (uint32_t I = 0; I < NS && D.ok(); ++I)
-      Stack.push_back(D.readString());
+      Stack.push_back(labelSymbol(D.readString()));
   }
+
+  /// Edges[{caller, Callee}] for the innermost live probe as the caller,
+  /// reached through per-caller label slots.
+  uint64_t &edgeTo(Symbol Callee) {
+    bool Root = Stack.empty();
+    Symbol Caller = Root ? Symbol() : Stack.back();
+    LabelSlots<uint64_t> &Row =
+        Root ? RootRow
+             : Rows.get(Caller, [this](std::string) -> LabelSlots<uint64_t> & {
+                 return RowStore.emplace_back();
+               });
+    return Row.get(Callee, [&](std::string To) -> uint64_t & {
+      std::string From = Root ? "<root>" : std::string(Caller.str());
+      return Edges.try_emplace({std::move(From), std::move(To)})
+          .first->second;
+    });
+  }
+
+private:
+  LabelSlots<uint64_t> RootRow;
+  LabelSlots<LabelSlots<uint64_t>> Rows;
+  std::deque<LabelSlots<uint64_t>> RowStore; ///< Rows' storage.
 };
 
 class CallGraphMonitor : public Monitor {
@@ -82,10 +109,8 @@ public:
 
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CallGraphState &>(State);
-    std::string Callee(Ev.Ann.Head.str());
-    std::string Caller = S.Stack.empty() ? "<root>" : S.Stack.back();
-    ++S.Edges[{Caller, Callee}];
-    S.Stack.push_back(std::move(Callee));
+    ++S.edgeTo(Ev.Ann.Head);
+    S.Stack.push_back(Ev.Ann.Head);
   }
 
   void post(const MonitorEvent &, Value, MonitorState &State) const override {

@@ -65,6 +65,7 @@ public:
   }
   void load(Deserializer &D) override {
     Sets.clear();
+    Slots.reset();
     uint32_t NT = D.readU32();
     for (uint32_t I = 0; I < NT && D.ok(); ++I) {
       std::string Tag = D.readString();
@@ -75,6 +76,19 @@ public:
       Sets[std::move(Tag)] = std::move(Vals);
     }
   }
+
+  /// Sets[Tag] ∪= {ToStr(V)}. The set is reached through the per-run
+  /// label slots and V is rendered into a reused buffer, so a value
+  /// already in the set allocates nothing.
+  void collect(Symbol Tag, Value V) {
+    Rendered.clear();
+    appendDisplayString(Rendered, V);
+    Slots.in(Sets, Tag).insert(Rendered);
+  }
+
+private:
+  LabelSlots<std::set<std::string>> Slots;
+  std::string Rendered;
 };
 
 class CollectingMonitor : public Monitor {
@@ -95,8 +109,7 @@ public:
   /// M_post [x] [e] rho v sigma = sigma[x -> sigma(x) ∪ {v}].
   void post(const MonitorEvent &Ev, Value Result,
             MonitorState &State) const override {
-    auto &S = static_cast<CollectingState &>(State);
-    S.Sets[std::string(Ev.Ann.Head.str())].insert(toDisplayString(Result));
+    static_cast<CollectingState &>(State).collect(Ev.Ann.Head, Result);
   }
 
   static const CollectingState &state(const MonitorState &S) {

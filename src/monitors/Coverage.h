@@ -47,12 +47,24 @@ public:
   }
   void load(Deserializer &D) override {
     Hit.clear();
+    Seen.reset();
     uint32_t N = D.readU32();
     for (uint32_t I = 0; I < N && D.ok(); ++I)
       Hit.insert(D.readString());
     TotalHits = D.readU64();
     TotalPoints = D.readU32();
   }
+
+  /// Adds \p Point to Hit; a point already seen this run costs a slot
+  /// lookup.
+  void markHit(Symbol Point) {
+    Seen.get(Point, [this](std::string P) -> const std::string & {
+      return *Hit.insert(std::move(P)).first;
+    });
+  }
+
+private:
+  LabelSlots<const std::string> Seen;
 };
 
 class CoverageMonitor : public Monitor {
@@ -73,7 +85,7 @@ public:
   }
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
     auto &S = static_cast<CoverageState &>(State);
-    S.Hit.insert(std::string(Ev.Ann.Head.str()));
+    S.markHit(Ev.Ann.Head);
     ++S.TotalHits;
   }
   void post(const MonitorEvent &, Value, MonitorState &) const override {}

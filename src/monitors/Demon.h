@@ -53,10 +53,22 @@ public:
   }
   void load(Deserializer &D) override {
     Fired.clear();
+    Seen.reset();
     uint32_t N = D.readU32();
     for (uint32_t I = 0; I < N && D.ok(); ++I)
       Fired.insert(D.readString());
   }
+
+  /// Adds \p Label to Fired; a label already recorded this run costs a
+  /// slot lookup.
+  void markFired(Symbol Label) {
+    Seen.get(Label, [this](std::string L) -> const std::string & {
+      return *Fired.insert(std::move(L)).first;
+    });
+  }
+
+private:
+  LabelSlots<const std::string> Seen;
 };
 
 /// The paper's `sorted?` predicate: true for non-decreasing integer lists
@@ -92,8 +104,7 @@ public:
   void post(const MonitorEvent &Ev, Value Result,
             MonitorState &State) const override {
     if (Event(Result))
-      static_cast<DemonState &>(State).Fired.insert(
-          std::string(Ev.Ann.Head.str()));
+      static_cast<DemonState &>(State).markFired(Ev.Ann.Head);
   }
 
   static const DemonState &state(const MonitorState &S) {

@@ -116,12 +116,19 @@ public:
   }
   void load(Deserializer &D) override {
     Counters.clear();
+    Slots.reset();
     uint32_t N = D.readU32();
     for (uint32_t I = 0; I < N && D.ok(); ++I) {
       std::string Name = D.readString();
       Counters[Name] = D.readU64();
     }
   }
+
+  /// Counters[f], reached through the per-run label slots.
+  uint64_t &counter(Symbol F) { return Slots.in(Counters, F); }
+
+private:
+  LabelSlots<uint64_t> Slots;
 };
 
 class CallProfiler : public Monitor {
@@ -138,8 +145,7 @@ public:
 
   /// incCtr [f] rho_c.
   void pre(const MonitorEvent &Ev, MonitorState &State) const override {
-    auto &S = static_cast<CallProfilerState &>(State);
-    ++S.Counters[std::string(Ev.Ann.Head.str())];
+    ++static_cast<CallProfilerState &>(State).counter(Ev.Ann.Head);
   }
 
   /// M_post [f] [e] rho v rho_c = rho_c.

@@ -6,18 +6,15 @@
 
 using namespace monsem;
 
-static std::string upperName(Symbol S) {
-  std::string Out(S.str());
-  for (char &C : Out)
-    C = static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
-  return Out;
+// Each event line is built in one string, with no temporaries.
+static void appendUpperName(std::string &Out, Symbol S) {
+  for (char C : S.str())
+    Out += static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
 }
 
-static std::string indent(int N) {
-  std::string Out;
-  for (int I = 0; I < N; ++I)
-    Out += "     ";
-  return Out;
+static void appendIndent(std::string &Out, int N) {
+  if (N > 0)
+    Out.append(5 * static_cast<size_t>(N), ' ');
 }
 
 std::unique_ptr<MonitorState> Tracer::initialState() const {
@@ -30,12 +27,18 @@ std::unique_ptr<MonitorState> Tracer::initialState() const {
 void Tracer::pre(const MonitorEvent &Ev, MonitorState &State) const {
   auto &S = static_cast<TracerState &>(State);
   // printChan ("[" ++ f ++ " receives (" ++ ToStr(rho(x1)) ++ ... ++ ")]")
-  std::string Line = indent(S.Level) + "[" + upperName(Ev.Ann.Head) +
-                     " receives (";
+  std::string Line;
+  appendIndent(Line, S.Level);
+  Line += '[';
+  appendUpperName(Line, Ev.Ann.Head);
+  Line += " receives (";
   for (size_t I = 0; I < Ev.Ann.Params.size(); ++I) {
     if (I != 0)
       Line += ' ';
-    Line += Ev.Env.lookupStr(Ev.Ann.Params[I]);
+    if (auto V = Ev.Env.lookup(Ev.Ann.Params[I]))
+      appendDisplayString(Line, *V);
+    else
+      Line += '?';
   }
   Line += ")]";
   S.Chan.addLine(std::move(Line));
@@ -46,6 +49,12 @@ void Tracer::post(const MonitorEvent &Ev, Value Result,
                   MonitorState &State) const {
   auto &S = static_cast<TracerState &>(State);
   --S.Level;
-  S.Chan.addLine(indent(S.Level) + "[" + upperName(Ev.Ann.Head) +
-                 " returns " + toDisplayString(Result) + "]");
+  std::string Line;
+  appendIndent(Line, S.Level);
+  Line += '[';
+  appendUpperName(Line, Ev.Ann.Head);
+  Line += " returns ";
+  appendDisplayString(Line, Result);
+  Line += ']';
+  S.Chan.addLine(std::move(Line));
 }

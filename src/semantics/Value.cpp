@@ -81,6 +81,8 @@ std::string monsem::toDisplayString(Value V) {
   return Out;
 }
 
+void monsem::appendDisplayString(std::string &Out, Value V) { render(Out, V); }
+
 bool monsem::valueEquals(Value A, Value B, bool &Ok) {
   // Forced thunks compare through their memo.
   if (A.is(ValueKind::Thunk) && A.asThunk()->St == Thunk::State::Forced)

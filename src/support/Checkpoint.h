@@ -66,6 +66,8 @@ public:
   }
 
   size_t size() const { return Buf.size(); }
+  /// Empties the buffer, keeping its capacity for reuse.
+  void clear() { Buf.clear(); }
   const std::vector<uint8_t> &bytes() const { return Buf; }
   std::vector<uint8_t> take() { return std::move(Buf); }
 

@@ -67,7 +67,6 @@ struct Registry {
   bool HaveRule[kNumFailSites] = {};
   FailRule Rules[kNumFailSites];
   uint64_t Hits[kNumFailSites] = {};
-  bool EnvChecked = false;
 };
 
 Registry &registry() {
@@ -75,9 +74,15 @@ Registry &registry() {
   return R;
 }
 
-/// Cheap armed flag outside the mutex: the I/O wrappers check this before
-/// taking the lock, so runs with no plan pay one relaxed load per call.
+/// Cheap armed flag outside the mutex: the I/O wrappers check this (after
+/// GEnvChecked) before taking the lock, so runs with no plan take no lock.
 std::atomic<bool> GArmed{false};
+
+/// Whether the MONSEM_FAILPOINTS env plan has been looked for (or an
+/// explicit install made it moot). Written under the registry mutex with
+/// release, after the plan it found is installed, so a reader that
+/// acquires `true` also sees that plan's GArmed; read without the lock.
+std::atomic<bool> GEnvChecked{false};
 
 int errnoByName(std::string_view Name) {
   struct Entry {
@@ -233,8 +238,10 @@ bool installLocked(Registry &R, std::string_view Spec, std::string &Err) {
 bool monsem::installFailPoints(std::string_view Spec, std::string &Err) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.M);
-  R.EnvChecked = true; // An explicit install overrides the env.
-  return installLocked(R, Spec, Err);
+  bool Ok = installLocked(R, Spec, Err);
+  // An explicit install overrides the env.
+  GEnvChecked.store(true, std::memory_order_release);
+  return Ok;
 }
 
 void monsem::clearFailPoints() {
@@ -242,30 +249,28 @@ void monsem::clearFailPoints() {
   std::lock_guard<std::mutex> Lock(R.M);
   std::string Err;
   installLocked(R, {}, Err);
-  R.EnvChecked = true;
+  GEnvChecked.store(true, std::memory_order_release);
 }
 
 bool monsem::failPointsArmed() {
   // The env plan is only discovered on the first hit; report armed until
   // we know either way so wrappers do take the slow path once.
-  Registry &R = registry();
-  if (GArmed.load(std::memory_order_relaxed))
+  if (!GEnvChecked.load(std::memory_order_acquire))
     return true;
-  std::lock_guard<std::mutex> Lock(R.M);
-  return !R.EnvChecked;
+  return GArmed.load(std::memory_order_relaxed);
 }
 
 FailAction monsem::failPointHit(FailSite S) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.M);
-  if (!R.EnvChecked) {
-    R.EnvChecked = true;
+  if (!GEnvChecked.load(std::memory_order_relaxed)) {
     if (const char *Env = std::getenv("MONSEM_FAILPOINTS")) {
       std::string Err;
       // The env path has no channel to report to; a malformed spec is
       // dropped (the CLI flag is the validating entry point).
       (void)installLocked(R, Env, Err);
     }
+    GEnvChecked.store(true, std::memory_order_release);
   }
   unsigned I = static_cast<unsigned>(S);
   ++R.Hits[I];

@@ -104,8 +104,10 @@ bool installFailPoints(std::string_view Spec, std::string &Err);
 /// Clears the plan: every site reverts to real I/O.
 void clearFailPoints();
 
-/// True when any failpoint is armed (cheap; the I/O wrappers check this
-/// first so unconfigured builds pay one relaxed load per operation).
+/// True when any failpoint is armed, or before the env plan has been
+/// looked for. Cheap: the I/O wrappers check this first, so once the env
+/// has been checked an unarmed process pays two atomic loads (plain loads
+/// on x86) and no lock per operation.
 bool failPointsArmed();
 
 /// Consults (and advances the hit counter of) site \p S. Called by the

@@ -114,11 +114,12 @@ Journal::~Journal() {
 /// One attempt at persisting a framed record: write + flush, with the
 /// stream error state checked. On failure \p Errno holds the saved errno
 /// (the caller classifies transient vs. persistent).
-bool Journal::writeFrame(const std::vector<uint8_t> &Frame, int &Errno) {
+bool Journal::writeFrame(int &Errno) {
+  const std::vector<uint8_t> &Bytes = Frame.bytes();
   errno = 0;
-  size_t W = FileSys::writeFile(FailSite::JournalWrite, F, Frame.data(),
-                                Frame.size());
-  if (W != Frame.size()) {
+  size_t W = FileSys::writeFile(FailSite::JournalWrite, F, Bytes.data(),
+                                Bytes.size());
+  if (W != Bytes.size()) {
     Errno = errno;
     return false;
   }
@@ -150,22 +151,24 @@ bool Journal::restoreTail() {
   return true;
 }
 
-bool Journal::appendRecord(uint8_t Type, const std::vector<uint8_t> &Payload,
-                           bool IsCheckpoint) {
+/// Starts the record in Frame: type + len; the caller writes the payload.
+void Journal::beginFrame(uint8_t Type, size_t PayloadLen) {
+  Frame.clear();
+  Frame.writeU8(Type);
+  Frame.writeU32(static_cast<uint32_t>(PayloadLen));
+}
+
+/// Seals the record in Frame with its checksum and persists it.
+bool Journal::appendFrame(bool IsCheckpoint) {
   if (Poisoned)
     return false;
-  // Frame = type + len + payload; checksum covers the whole frame so a
-  // record with a corrupted header is rejected too.
-  Serializer S;
-  S.writeU8(Type);
-  S.writeU32(static_cast<uint32_t>(Payload.size()));
-  S.writeBytes(Payload.data(), Payload.size());
-  S.writeU64(fnv1aHash(S.bytes().data(), S.bytes().size()));
-  const std::vector<uint8_t> &Frame = S.bytes();
+  // The checksum covers the whole frame so a record with a corrupted
+  // header is rejected too.
+  Frame.writeU64(fnv1aHash(Frame.bytes().data(), Frame.size()));
 
   for (unsigned Attempt = 0;; ++Attempt) {
     int Errno = 0;
-    if (writeFrame(Frame, Errno)) {
+    if (writeFrame(Errno)) {
       DurableBytes += Frame.size();
       break;
     }
@@ -203,15 +206,17 @@ bool Journal::appendRecord(uint8_t Type, const std::vector<uint8_t> &Payload,
 }
 
 bool Journal::appendEvent(uint64_t Step, std::string_view Text) {
-  Serializer P;
-  P.writeU64(Step);
-  P.writeString(Text);
-  return appendRecord(kEventRecord, P.bytes(), /*IsCheckpoint=*/false);
+  // Payload: u64 step + length-prefixed text.
+  beginFrame(kEventRecord, 8 + 4 + Text.size());
+  Frame.writeU64(Step);
+  Frame.writeString(Text);
+  return appendFrame(/*IsCheckpoint=*/false);
 }
 
 bool Journal::appendCheckpoint(const std::vector<uint8_t> &CheckpointBytes) {
-  return appendRecord(kCheckpointRecord, CheckpointBytes,
-                      /*IsCheckpoint=*/true);
+  beginFrame(kCheckpointRecord, CheckpointBytes.size());
+  Frame.writeBytes(CheckpointBytes.data(), CheckpointBytes.size());
+  return appendFrame(/*IsCheckpoint=*/true);
 }
 
 JournalRecovery monsem::recoverJournal(const std::string &Path,

@@ -38,6 +38,8 @@
 #ifndef MONSEM_SUPPORT_JOURNAL_H
 #define MONSEM_SUPPORT_JOURNAL_H
 
+#include "support/Checkpoint.h"
+
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -100,9 +102,9 @@ private:
   Journal(std::FILE *F, std::string Path, JournalOptions Opts,
           uint64_t DurableBytes)
       : F(F), Path(std::move(Path)), Opts(Opts), DurableBytes(DurableBytes) {}
-  bool appendRecord(uint8_t Type, const std::vector<uint8_t> &Payload,
-                    bool IsCheckpoint);
-  bool writeFrame(const std::vector<uint8_t> &Frame, int &Errno);
+  void beginFrame(uint8_t Type, size_t PayloadLen);
+  bool appendFrame(bool IsCheckpoint);
+  bool writeFrame(int &Errno);
   bool restoreTail();
   void setError(std::string Msg) {
     if (FirstError.empty())
@@ -116,6 +118,7 @@ private:
   unsigned EventsSinceSync = 0;
   bool Poisoned = false;       ///< Boundary restoration failed; refuse I/O.
   std::string FirstError;
+  Serializer Frame; ///< The record being appended; reused across appends.
 };
 
 /// What recovery found in a journal file. `LastCheckpoint` holds the framed

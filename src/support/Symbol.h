@@ -26,10 +26,16 @@ namespace monsem {
 /// An interned identifier. The empty Symbol (default constructed) is a valid
 /// sentinel that compares unequal to every interned spelling.
 ///
-/// The intern table is process-wide and not synchronized: like the rest of
-/// the library, interning is single-threaded by design (an execution is a
-/// sequential, deterministic process — the setting the paper's monitoring
-/// semantics covers).
+/// The intern table is process-wide and shared by concurrent runs (server
+/// workers parse programs and render events in parallel). intern() takes
+/// a reader-writer lock (shared when the spelling is already interned,
+/// exclusive to insert one). str() takes no lock: spellings live in
+/// segments that never move, reached through an atomic directory, so it
+/// costs one acquire load and two indexed loads (it used to take the
+/// shared lock, about 60 ns per call). Handles compare, hash and index
+/// without touching the table at all, which is why per-probe monitor code
+/// keys its state by id() (LabelSlots in monitor/MonitorSpec.h) rather
+/// than by spelling.
 class Symbol {
 public:
   Symbol() = default;
@@ -39,6 +45,7 @@ public:
   static Symbol intern(std::string_view Spelling);
 
   /// The spelling this symbol was interned with; empty for the sentinel.
+  /// Lock-free (see the class comment).
   std::string_view str() const;
 
   bool empty() const { return Id == 0; }

@@ -77,7 +77,13 @@ bool monsem::isInfix(Prim2Op Op) {
 }
 
 std::string Annotation::text() const {
-  std::string Out = "{";
+  std::string Out;
+  appendText(Out);
+  return Out;
+}
+
+void Annotation::appendText(std::string &Out) const {
+  Out += '{';
   if (Qual) {
     Out += Qual.str();
     Out += ':';
@@ -93,7 +99,6 @@ std::string Annotation::text() const {
     Out += ')';
   }
   Out += '}';
-  return Out;
 }
 
 bool monsem::exprEquals(const Expr *A, const Expr *B) {

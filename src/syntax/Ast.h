@@ -142,6 +142,8 @@ struct Annotation {
 
   /// Renders the annotation in concrete syntax, braces included.
   std::string text() const;
+  /// Appends text() to \p Out (no temporary string).
+  void appendText(std::string &Out) const;
 
   friend bool operator==(const Annotation &A, const Annotation &B) {
     return A.Qual == B.Qual && A.Head == B.Head && A.Params == B.Params &&

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compile/AotEmit.h"
 #include "compile/VM.h"
 #include "imp/ImpMachine.h"
 #include "imp/ImpMonitors.h"
@@ -108,7 +109,96 @@ public:
   void post(const ImpMonitorEvent &, MonitorState &) const override {}
 };
 
+/// A monitor that claims only `{site:...}` annotations and throws on its
+/// pre or its post hook.
+class SiteThrower : public Monitor {
+public:
+  explicit SiteThrower(bool InPost) : InPost(InPost) {}
+  std::string_view name() const override { return "site"; }
+  bool accepts(const Annotation &) const override { return false; }
+  std::unique_ptr<MonitorState> initialState() const override {
+    return std::make_unique<MonitorState>();
+  }
+  void pre(const MonitorEvent &, MonitorState &) const override {
+    if (!InPost)
+      throw std::runtime_error("site fault");
+  }
+  void post(const MonitorEvent &, Value, MonitorState &) const override {
+    if (InPost)
+      throw std::runtime_error("site fault");
+  }
+
+private:
+  bool InPost;
+};
+
+/// The Imp counterpart of SiteThrower.
+class ImpSiteThrower : public ImpMonitor {
+public:
+  explicit ImpSiteThrower(bool InPost) : InPost(InPost) {}
+  std::string_view name() const override { return "site"; }
+  bool accepts(const Annotation &) const override { return false; }
+  std::unique_ptr<MonitorState> initialState() const override {
+    return std::make_unique<MonitorState>();
+  }
+  void pre(const ImpMonitorEvent &, MonitorState &) const override {
+    if (!InPost)
+      throw std::runtime_error("site fault");
+  }
+  void post(const ImpMonitorEvent &, MonitorState &) const override {
+    if (InPost)
+      throw std::runtime_error("site fault");
+  }
+
+private:
+  bool InPost;
+};
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Fault site: the probe's annotation text, rendered when the fault happens
+//===----------------------------------------------------------------------===//
+
+TEST(FaultIsolationTest, FaultSiteIsTheAnnotationTextOnEveryBackend) {
+  // Qualifier, head and parameter list all appear in the rendering.
+  auto P = parseOk("letrec fac = lambda x y. {site:fac(x, y)}: "
+                   "if x = 0 then y else fac (x - 1) (x * y) in fac 5 1");
+  for (bool InPost : {false, true}) {
+    SiteThrower M(InPost);
+    for (BackendTag B : {kCEK, kVM, kVMReg, kVMAot, kDirect}) {
+      if (B.B == Backend::VMAot && !aotAvailable())
+        continue; // No C compiler: vm-aot would run as vm-reg.
+      const char *Name = backendCaps(B.B).Name;
+      RunResult R = evaluate(M & B, P->root());
+      EXPECT_EQ(R.St, Outcome::Ok) << Name << ": " << R.Error;
+      EXPECT_EQ(R.IntValue, 120) << Name;
+      ASSERT_EQ(R.MonitorFaults.size(), 1u) << Name;
+      const MonitorFault &F = R.MonitorFaults[0];
+      EXPECT_EQ(F.Site, "{site:fac(x, y)}") << Name;
+      EXPECT_EQ(F.InPost, InPost) << Name;
+      EXPECT_TRUE(F.Quarantined) << Name;
+      EXPECT_NE(F.str().find(" at {site:fac(x, y)} "), std::string::npos)
+          << Name << ": " << F.str();
+    }
+  }
+
+  ImpContext Ctx;
+  DiagnosticSink Diags;
+  const Cmd *Prog = parseImpProgram(
+      Ctx, "x := 0; while x < 3 do {site:tick}: x := x + 1 end", Diags);
+  ASSERT_NE(Prog, nullptr) << Diags.str();
+  for (bool InPost : {false, true}) {
+    ImpSiteThrower M(InPost);
+    ImpCascade C;
+    C.use(M);
+    ImpRunResult R = runImp(C, Prog);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    ASSERT_EQ(R.MonitorFaults.size(), 1u);
+    EXPECT_EQ(R.MonitorFaults[0].Site, "{site:tick}");
+    EXPECT_EQ(R.MonitorFaults[0].InPost, InPost);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Quarantine: the faulty run still produces the standard answer

@@ -60,6 +60,35 @@ TEST(JournalTest, EventRoundTrip) {
   std::remove(Path.c_str());
 }
 
+TEST(JournalTest, EventRecordBytesArePinned) {
+  // [u8 type=1] [u32 len] [u64 step] [u32 text len] [text]
+  // [u64 FNV-1a of everything before it], all little-endian. A second
+  // append reuses the handle's frame buffer and must frame identically.
+  const std::string Want =
+      "01"               // type: event
+      "21000000"         // len = 8 + 4 + 21
+      "0900000000000000" // step 9
+      "15000000"         // text length 21
+      "706f7374207b70726f66696c653a667d203d203432" // "post {profile:f} = 42"
+      "618887033bda4bc4"; // FNV-1a 64
+  std::string Path = tempPath("monsem_journal_golden.bin");
+  {
+    std::string Err;
+    auto J = Journal::open(Path, Err);
+    ASSERT_NE(J, nullptr) << Err;
+    ASSERT_TRUE(J->appendEvent(9, "post {profile:f} = 42"));
+    ASSERT_TRUE(J->appendEvent(9, "post {profile:f} = 42"));
+  }
+  std::string Hex;
+  for (uint8_t B : readAll(Path)) {
+    static const char *Digits = "0123456789abcdef";
+    Hex += Digits[B >> 4];
+    Hex += Digits[B & 15];
+  }
+  EXPECT_EQ(Hex, Want + Want);
+  std::remove(Path.c_str());
+}
+
 TEST(JournalTest, TailKeepsOnlyTheLastN) {
   std::string Path = tempPath("monsem_journal_tail.bin");
   {

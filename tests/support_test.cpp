@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace monsem;
 
 TEST(SymbolTest, InternIsIdempotent) {
@@ -36,6 +39,41 @@ TEST(SymbolTest, ManySymbolsKeepStableSpellings) {
     Syms.push_back(Symbol::intern("sym" + std::to_string(I)));
   for (int I = 0; I < 1000; ++I)
     EXPECT_EQ(Syms[I].str(), "sym" + std::to_string(I));
+}
+
+TEST(SymbolTest, ConcurrentInternAndLockFreeStr) {
+  // Two writers intern overlapping spellings across several storage
+  // segments while a reader renders symbols interned before it started;
+  // every handle must be unique per spelling and every spelling stable.
+  std::vector<Symbol> Early;
+  for (int I = 0; I < 64; ++I)
+    Early.push_back(Symbol::intern("early" + std::to_string(I)));
+  constexpr int kCount = 3000;
+  std::vector<Symbol> A(kCount), B(kCount);
+  std::atomic<bool> Done{false};
+  std::thread Reader([&] {
+    size_t Bad = 0;
+    while (!Done.load())
+      for (int I = 0; I < 64; ++I)
+        Bad += Early[I].str() != "early" + std::to_string(I);
+    EXPECT_EQ(Bad, 0u);
+  });
+  std::thread WA([&] {
+    for (int I = 0; I < kCount; ++I)
+      A[I] = Symbol::intern("conc" + std::to_string(I));
+  });
+  std::thread WB([&] {
+    for (int I = kCount; I-- > 0;)
+      B[I] = Symbol::intern("conc" + std::to_string(I));
+  });
+  WA.join();
+  WB.join();
+  Done = true;
+  Reader.join();
+  for (int I = 0; I < kCount; ++I) {
+    EXPECT_EQ(A[I], B[I]);
+    EXPECT_EQ(A[I].str(), "conc" + std::to_string(I));
+  }
 }
 
 TEST(ArenaTest, AllocatesAligned) {
