@@ -32,12 +32,15 @@
 #include "interp/Direct.h"
 #include "monitors/Profiler.h"
 #include "monitors/Tracer.h"
+#include "support/Journal.h"
 #include "syntax/Annotator.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <unistd.h>
 
 using namespace monsem;
 using namespace monsem::bench;
@@ -786,9 +789,18 @@ double reportCheckpoint(JsonlWriter &W, bool Quick) {
 /// lowering and the AOT load happen once outside it, as in a warm session —
 /// and every monitored run starts from fresh monitor states. The answer and
 /// the profile are checked before any timing. Rows `<tier>+profile` record
-/// the monitored time; returns the interleaved monitored/unmonitored ratio
-/// on vm-reg so CI can bound it (--assert-monitor-overhead=R).
-double reportMonitored(JsonlWriter &W, bool Quick) {
+/// the monitored time. Row `vm-reg+profile+journal` adds what a journaled
+/// run pays on top: every probe event rendered and appended to a fresh
+/// temp journal per rep (open, appends and clean close timed). Returns the
+/// interleaved monitored/unmonitored ratio on vm-reg and the
+/// journaled/monitored ratio on vm-reg, so CI can bound both
+/// (--assert-monitor-overhead=R, --assert-journal-overhead=R).
+struct MonitoredRatios {
+  double Monitor = 0;
+  double Journal = 0;
+};
+
+MonitoredRatios reportMonitored(JsonlWriter &W, bool Quick) {
   std::printf("monitored — call profiler on fib 20 vs the same tier plain\n");
   printRule();
   std::printf("%-14s %12s %12s %9s\n", "tier", "plain ms", "profile ms",
@@ -864,6 +876,43 @@ double reportMonitored(JsonlWriter &W, bool Quick) {
   RegRatio = Row(
       "vm-reg", [&] { return runRegisterProgram(*RP0, nullptr, Opts); },
       [&](MonitorHooks *H) { return runRegisterProgram(*RP1, H, Opts); });
+
+  std::string JPath = (std::filesystem::temp_directory_path() /
+                       ("monsem_bench_" + std::to_string(::getpid()) +
+                        ".journal"))
+                          .string();
+  // One journaled run into a fresh journal, closed cleanly.
+  auto JournaledRun = [&] {
+    std::remove(JPath.c_str());
+    std::string Err;
+    auto J = Journal::open(JPath, Err);
+    if (!J) {
+      std::fprintf(stderr, "monitored: %s\n", Err.c_str());
+      std::exit(1);
+    }
+    RuntimeCascade RC(C);
+    JournalingHooks JH(RC, *J);
+    return runRegisterProgram(*RP1, &JH, Opts);
+  };
+  RunResult JR = JournaledRun();
+  JournalRecovery Rec = recoverJournal(JPath);
+  if (!JR.Ok || Rec.TotalEvents != 2 * 21891 || Rec.TornBytes != 0) {
+    std::fprintf(stderr, "FAIL: journaled vm-reg run recovered %llu events\n",
+                 static_cast<unsigned long long>(Rec.TotalEvents));
+    std::exit(1);
+  }
+  auto MonitoredRun = [&] {
+    RuntimeCascade RC(C);
+    runRegisterProgram(*RP1, &RC, Opts);
+  };
+  double JournalMs = medianMs(JournaledRun, Quick ? 3 : 9);
+  double JournalRatio =
+      medianRatio(MonitoredRun, JournaledRun, Quick ? 9 : 11);
+  W.write({"fib 20", "vm-reg+profile+journal", "strict", JournalMs * 1e6,
+           JR.Steps, JR.ArenaBytes});
+  std::printf("%-14s %12s %12.3f %8.2fx  (journaled / monitored)\n",
+              "vm-reg+journal", "", JournalMs, JournalRatio);
+  std::remove(JPath.c_str());
   if (aotAvailable()) {
     std::string Why;
     auto Lib0 = aotLoad(*RP0, /*CacheDir=*/"", &Why);
@@ -881,7 +930,7 @@ double reportMonitored(JsonlWriter &W, bool Quick) {
   printRule();
   std::printf("ratio = monitored / plain, interleaved; the call profiler "
               "counts every\ncall of fib (one probe pair per call).\n\n");
-  return RegRatio;
+  return {RegRatio, JournalRatio};
 }
 
 } // namespace
@@ -980,6 +1029,7 @@ int main(int argc, char **argv) {
   double MinAotSpeedup = -1;     // <0: report only, no assertion.
   double MaxCheckpointPct = -1;  // <0: report only, no assertion.
   double MaxMonitorRatio = -1;   // <0: report only, no assertion.
+  double MaxJournalRatio = -1;   // <0: report only, no assertion.
   std::string JsonPath = "BENCH_machines.json";
   // Strip our flags before handing argv to google-benchmark.
   int Kept = 1;
@@ -1000,6 +1050,8 @@ int main(int argc, char **argv) {
       MaxCheckpointPct = std::atof(argv[I] + 29);
     else if (std::strncmp(argv[I], "--assert-monitor-overhead=", 26) == 0)
       MaxMonitorRatio = std::atof(argv[I] + 26);
+    else if (std::strncmp(argv[I], "--assert-journal-overhead=", 26) == 0)
+      MaxJournalRatio = std::atof(argv[I] + 26);
     else
       argv[Kept++] = argv[I];
   }
@@ -1013,12 +1065,19 @@ int main(int argc, char **argv) {
   std::vector<double> AotSpeedups = reportAotVM(W, Quick);
   double GovMedian = reportGovernor(W, Quick);
   double CkMedian = reportCheckpoint(W, Quick);
-  double MonRatio = reportMonitored(W, Quick);
-  if (MaxMonitorRatio >= 0 && MonRatio > MaxMonitorRatio) {
+  MonitoredRatios Mon = reportMonitored(W, Quick);
+  if (MaxMonitorRatio >= 0 && Mon.Monitor > MaxMonitorRatio) {
     std::fprintf(stderr,
                  "FAIL: monitored/plain ratio %.2fx on vm-reg exceeds the "
                  "%.2fx bound\n",
-                 MonRatio, MaxMonitorRatio);
+                 Mon.Monitor, MaxMonitorRatio);
+    return 1;
+  }
+  if (MaxJournalRatio >= 0 && Mon.Journal > MaxJournalRatio) {
+    std::fprintf(stderr,
+                 "FAIL: journaled/monitored ratio %.2fx on vm-reg exceeds "
+                 "the %.2fx bound\n",
+                 Mon.Journal, MaxJournalRatio);
     return 1;
   }
   if (MaxCheckpointPct >= 0 && CkMedian > 1.0 + MaxCheckpointPct / 100.0) {

@@ -147,9 +147,9 @@ void armDurabilityTracker(RunOptions &O, DurabilityTracker &T) {
 }
 
 /// With a journal armed, rewrites the CheckpointSink so every checkpoint
-/// is appended to the journal first (each append is flushed, so it is
-/// durable even if the original sink never persists it), then forwarded
-/// to the original sink if there was one.
+/// is appended to the journal first (each append reaches the OS before it
+/// returns, so it is durable even if the original sink never persists it),
+/// then forwarded to the original sink if there was one.
 void armJournalCheckpointSink(RunOptions &O) {
   if (!O.RunJournal)
     return;

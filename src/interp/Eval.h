@@ -161,8 +161,8 @@ inline CheckpointTag checkpointEveryNSteps(uint64_t N) {
 }
 
 /// Journal selector composable with `&`: every probe event is appended to
-/// \p J (crash-safe, flushed per record) before the monitors see it. The
-/// journal must outlive the run.
+/// \p J (crash-safe, in the page cache per record) before the monitors see
+/// it. The journal must outlive the run.
 struct JournalTag {
   Journal *J;
 };

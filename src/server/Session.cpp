@@ -292,7 +292,7 @@ bool Session::parkLocked(RunState &R) {
     R.ParkPath.clear();
     return false; // Spill failed: the run simply stays resident.
   }
-  J.reset(); // Close (and flush) before the checkpoint goes away.
+  J.reset(); // Close (trimming the slack) before the checkpoint goes away.
   R.CK = Checkpoint();
   R.HasCK = false;
   R.Parked = true;

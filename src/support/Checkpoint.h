@@ -56,8 +56,11 @@ public:
   }
   void writeI64(int64_t V) { writeU64(static_cast<uint64_t>(V)); }
   void writeBytes(const void *Data, size_t Len) {
-    const uint8_t *P = static_cast<const uint8_t *>(Data);
-    Buf.insert(Buf.end(), P, P + Len);
+    if (Len == 0)
+      return;
+    size_t At = Buf.size();
+    Buf.resize(At + Len);
+    std::memcpy(Buf.data() + At, Data, Len);
   }
   /// Length-prefixed (u32) byte string.
   void writeString(std::string_view S) {

@@ -12,6 +12,7 @@
 
 #include <fcntl.h>
 #include <libgen.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 using namespace monsem;
@@ -431,4 +432,62 @@ int monsem::FileSys::truncatePath(FailSite S, const char *Path, uint64_t Len) {
     return -1;
   }
   return ::truncate(Path, static_cast<off_t>(Len));
+}
+
+int monsem::FileSys::openFd(FailSite S, const char *Path, int Flags) {
+  FailAction A = consult(S);
+  if (A.K == FailAction::Kind::Crash)
+    crashNow();
+  if (A.armed()) {
+    errno = A.Errno;
+    return -1;
+  }
+  return ::open(Path, Flags, 0666);
+}
+
+size_t monsem::FileSys::copyToMapping(FailSite S, void *Dst, const void *Src,
+                                      size_t Len) {
+  FailAction A = consult(S);
+  size_t N = A.Bytes < Len ? static_cast<size_t>(A.Bytes) : Len;
+  switch (A.K) {
+  case FailAction::Kind::None:
+    std::memcpy(Dst, Src, Len);
+    return Len;
+  case FailAction::Kind::Error:
+    errno = A.Errno;
+    return 0;
+  case FailAction::Kind::Short:
+    // The torn prefix is real: it sits in the page cache like any write.
+    std::memcpy(Dst, Src, N);
+    errno = A.Errno;
+    return N < Len ? N : Len - 1; // Always a short count.
+  case FailAction::Kind::Crash:
+    std::memcpy(Dst, Src, N);
+    crashNow();
+  }
+  return 0;
+}
+
+int monsem::FileSys::flushMapping(FailSite S) {
+  FailAction A = consult(S);
+  if (A.K == FailAction::Kind::Crash)
+    crashNow();
+  if (A.armed()) {
+    errno = A.Errno;
+    return -1;
+  }
+  return 0;
+}
+
+int monsem::FileSys::syncMapping(FailSite S, int Fd, void *Addr, size_t Len) {
+  FailAction A = consult(S);
+  if (A.K == FailAction::Kind::Crash)
+    crashNow();
+  if (A.armed()) {
+    errno = A.Errno;
+    return -1;
+  }
+  if (Len && ::msync(Addr, Len, MS_SYNC) != 0)
+    return -1;
+  return ::fsync(Fd);
 }

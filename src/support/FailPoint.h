@@ -3,12 +3,13 @@
 /// \file
 /// A failpoint harness for the durable-I/O paths (support/Checkpoint.cpp,
 /// support/Journal.cpp). Every host-I/O effect those files perform — open,
-/// write, flush, fsync, close, rename, truncate — is routed through the
-/// `FileSys` wrappers below, and each wrapper consults a process-global
-/// `FailPlan` before touching the OS. A plan deterministically injects:
+/// write, flush, fsync, close, rename, truncate, and the journal's copy of
+/// a record into its file mapping — is routed through the `FileSys`
+/// wrappers below, and each wrapper consults a process-global `FailPlan`
+/// before touching the OS. A plan deterministically injects:
 ///
 ///   * errors   — the call fails with a chosen errno (ENOSPC, EIO, ...),
-///   * short writes — fwrite persists only the first N bytes, then fails,
+///   * short writes — only the first N bytes land, then the call fails,
 ///   * crashes  — the process `_exit`s mid-operation (optionally after
 ///                persisting N bytes of the record being written), which is
 ///                how the crash-point enumeration tests simulate power loss
@@ -66,11 +67,11 @@ enum class FailSite : uint8_t {
   CheckpointClose,   ///< fclose of the temp file.
   CheckpointRename,  ///< rename(temp, final).
   CheckpointDirSync, ///< fsync of the parent directory after rename.
-  JournalOpen,       ///< fopen of the journal for appending.
+  JournalOpen,       ///< open of the journal for appending.
   JournalTruncate,   ///< torn-tail truncation during Journal::open.
-  JournalWrite,      ///< fwrite of one framed record.
-  JournalFlush,      ///< fflush after a record append.
-  JournalSync,       ///< fsync of the journal (batched; see Journal).
+  JournalWrite,      ///< copy of one framed record into the file mapping.
+  JournalFlush,      ///< post-copy check of a record append.
+  JournalSync,       ///< msync + fsync of the journal (batched; see Journal).
   SocketAccept,      ///< accept() of a client connection (serve).
   SocketRead,        ///< read() from a client socket (serve transport).
   SocketWrite,       ///< write() to a client socket (serve transport).
@@ -183,6 +184,28 @@ int syncParentDir(FailSite S, const char *Path);
 
 /// truncate(Path, Len). Returns 0 on success, -1 on failure.
 int truncatePath(FailSite S, const char *Path, uint64_t Len);
+
+/// open(2) of \p Path with \p Flags (mode 0666 when creating). Returns the
+/// descriptor, or -1 on (real or injected) failure.
+int openFd(FailSite S, const char *Path, int Flags);
+
+/// memcpy of \p Len bytes into a shared writable file mapping: the write
+/// of the mapped journal. The copied bytes are in the page cache once this
+/// returns, so they survive the process exactly as a flushed write(2)
+/// does. Returns the number of bytes copied; a short count signals
+/// failure. `short(N)` copies min(N, Len) real bytes, then fails;
+/// `crash(N)` copies them, then _exits.
+size_t copyToMapping(FailSite S, void *Dst, const void *Src, size_t Len);
+
+/// The flush step of a mapped append. A completed copy has nothing left to
+/// push to the OS, so this performs no I/O; it only lets a plan fail the
+/// append after its bytes landed (`err`/`short` return -1 with errno set)
+/// or crash there. Returns 0 otherwise.
+int flushMapping(FailSite S);
+
+/// msync(MS_SYNC) of the \p Len mapped bytes at \p Addr (none when
+/// \p Len is 0), then fsync(\p Fd). Returns 0 on success, -1 on failure.
+int syncMapping(FailSite S, int Fd, void *Addr, size_t Len);
 
 } // namespace FileSys
 

@@ -5,9 +5,11 @@
 #include "support/Checkpoint.h"
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <sys/stat.h>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 using namespace monsem;
@@ -16,14 +18,19 @@ namespace {
 constexpr uint8_t kEventRecord = 1;
 constexpr uint8_t kCheckpointRecord = 2;
 
+uint64_t pageSize() {
+  static const uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  return Page;
+}
+
 std::string errnoText(int E) {
   return E ? std::string(std::strerror(E)) : std::string("I/O error");
 }
 
 /// Walks \p Bytes record by record, stopping at the first torn or corrupt
-/// frame. Returns the byte length of the intact prefix; when \p R is
-/// non-null, also fills in the recovery view (tail events, last
-/// checkpoint).
+/// frame — or at zero slack, which never checksums as a frame. Returns the
+/// byte length of the intact prefix; when \p R is non-null, also fills in
+/// the recovery view (tail events, last checkpoint).
 size_t scanJournalBytes(const std::vector<uint8_t> &Bytes, JournalRecovery *R,
                         size_t TailLimit) {
   size_t Pos = 0;
@@ -78,10 +85,11 @@ bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
 
 std::unique_ptr<Journal> Journal::open(const std::string &Path,
                                        std::string &Err, JournalOptions Opts) {
-  // Torn-tail recovery before the first append: a crash mid-record leaves
-  // a partial frame at the end of the file, and anything appended behind
-  // it would be unreachable to recovery (the scan stops at the bad frame).
-  // Chop the tail back to the last intact record boundary first.
+  // Tail recovery before the first append: a crash mid-record leaves a
+  // partial frame at the end of the file, and anything appended behind it
+  // would be unreachable to recovery (the scan stops at the bad frame). A
+  // handle that never closed leaves zero slack there instead. Chop either
+  // back to the last intact record boundary first.
   std::vector<uint8_t> Bytes;
   uint64_t ValidPrefix = 0;
   if (readWholeFile(Path, Bytes)) {
@@ -97,34 +105,86 @@ std::unique_ptr<Journal> Journal::open(const std::string &Path,
     }
   }
   errno = 0;
-  std::FILE *F = FileSys::openFile(FailSite::JournalOpen, Path.c_str(), "ab");
-  if (!F) {
+  int Fd = FileSys::openFd(FailSite::JournalOpen, Path.c_str(),
+                           O_RDWR | O_CREAT | O_CLOEXEC);
+  if (Fd < 0) {
     Err = "cannot open journal file '" + Path +
           "' for appending: " + errnoText(errno);
     return nullptr;
   }
-  return std::unique_ptr<Journal>(new Journal(F, Path, Opts, ValidPrefix));
+  return std::unique_ptr<Journal>(new Journal(Fd, Path, Opts, ValidPrefix));
 }
 
 Journal::~Journal() {
-  if (F)
-    std::fclose(F);
+  unmap();
+  // A clean close leaves exactly the records: the reserved slack goes.
+  if (ReservedBytes > DurableBytes &&
+      ::ftruncate(Fd, static_cast<off_t>(DurableBytes)) != 0) {
+    // Only the slack stays, which recovery skips and the next open()
+    // removes; no record is lost.
+  }
+  ::close(Fd);
 }
 
-/// One attempt at persisting a framed record: write + flush, with the
-/// stream error state checked. On failure \p Errno holds the saved errno
-/// (the caller classifies transient vs. persistent).
+void Journal::unmap() {
+  if (Win)
+    ::munmap(Win, WinLen);
+  Win = nullptr;
+}
+
+/// Makes [DurableBytes, DurableBytes + Len) writable through Win, sliding
+/// the window forward when the frame does not fit in it: the new window
+/// starts at the page holding DurableBytes and spans WindowBytes, or the
+/// whole frame if that is larger. Its blocks are reserved before it is
+/// mapped, so a full disk (or a file-size limit) fails here with an errno
+/// in \p Errno rather than raising SIGBUS on a store.
+bool Journal::mapFor(size_t Len, int &Errno) {
+  if (Win && DurableBytes + Len <= WinOff + WinLen)
+    return true;
+  unmap();
+  const uint64_t Page = pageSize();
+  uint64_t Off = DurableBytes / Page * Page;
+  uint64_t Need = DurableBytes - Off + Len;
+  uint64_t MapLen = std::max<uint64_t>(WindowBytes,
+                                       (Need + Page - 1) / Page * Page);
+  if (Off + MapLen > ReservedBytes) {
+    int Rc = ::posix_fallocate(Fd, static_cast<off_t>(ReservedBytes),
+                               static_cast<off_t>(Off + MapLen -
+                                                  ReservedBytes));
+    if (Rc != 0) {
+      Errno = Rc;
+      return false;
+    }
+    ReservedBytes = Off + MapLen;
+  }
+  void *P = ::mmap(nullptr, MapLen, PROT_READ | PROT_WRITE, MAP_SHARED, Fd,
+                   static_cast<off_t>(Off));
+  if (P == MAP_FAILED) {
+    Errno = errno;
+    return false;
+  }
+  Win = static_cast<uint8_t *>(P);
+  WinOff = Off;
+  WinLen = MapLen;
+  return true;
+}
+
+/// One attempt at persisting a framed record: copy it into the mapping at
+/// DurableBytes, then the flush step. On failure \p Errno holds the saved
+/// errno (the caller classifies transient vs. persistent).
 bool Journal::writeFrame(int &Errno) {
   const std::vector<uint8_t> &Bytes = Frame.bytes();
+  if (!mapFor(Bytes.size(), Errno))
+    return false;
   errno = 0;
-  size_t W = FileSys::writeFile(FailSite::JournalWrite, F, Bytes.data(),
-                                Bytes.size());
-  if (W != Bytes.size()) {
+  if (FileSys::copyToMapping(FailSite::JournalWrite,
+                             Win + (DurableBytes - WinOff), Bytes.data(),
+                             Bytes.size()) != Bytes.size()) {
     Errno = errno;
     return false;
   }
   errno = 0;
-  if (FileSys::flushFile(FailSite::JournalFlush, F) != 0 || std::ferror(F)) {
+  if (FileSys::flushMapping(FailSite::JournalFlush) != 0) {
     Errno = errno;
     return false;
   }
@@ -132,22 +192,31 @@ bool Journal::writeFrame(int &Errno) {
 }
 
 /// Re-establishes the record-boundary invariant after a failed attempt:
-/// any partially written frame is truncated back to the last durable
-/// offset. False (and poisons the handle) if even that fails — the file
-/// may then end mid-record, and further appends must not run.
-bool Journal::restoreTail() {
-  std::clearerr(F);
-  std::fflush(F); // best effort: push buffered partial bytes so ftruncate
-                  // sees (and removes) them
-  std::clearerr(F);
-  if (::ftruncate(fileno(F), static_cast<off_t>(DurableBytes)) != 0) {
-    Poisoned = true;
-    return false;
+/// whatever part of the frame reached the mapping is zeroed again, so the
+/// records are followed only by zero slack. This cannot fail: a mapped
+/// window always covers the whole frame, and its blocks are reserved.
+void Journal::restoreTail() {
+  if (Win)
+    std::memset(Win + (DurableBytes - WinOff), 0, Frame.size());
+}
+
+/// msync of the window's bytes written since the last sync (pages of
+/// earlier windows are covered by the fsync), then fsync.
+bool Journal::sync() {
+  void *Addr = nullptr;
+  size_t Len = 0;
+  if (Win) {
+    const uint64_t Page = pageSize();
+    uint64_t From = std::max(WinOff, SyncedBytes / Page * Page);
+    if (DurableBytes > From) {
+      Addr = Win + (From - WinOff);
+      Len = static_cast<size_t>(DurableBytes - From);
+    }
   }
-  // Mode "ab" positions every write at the (new) end of file, so no seek
-  // is needed; clear any lingering stream error so the next attempt is
-  // judged on its own I/O.
-  std::clearerr(F);
+  errno = 0;
+  if (FileSys::syncMapping(FailSite::JournalSync, Fd, Addr, Len) != 0)
+    return false;
+  SyncedBytes = DurableBytes;
   return true;
 }
 
@@ -160,8 +229,6 @@ void Journal::beginFrame(uint8_t Type, size_t PayloadLen) {
 
 /// Seals the record in Frame with its checksum and persists it.
 bool Journal::appendFrame(bool IsCheckpoint) {
-  if (Poisoned)
-    return false;
   // The checksum covers the whole frame so a record with a corrupted
   // header is rejected too.
   Frame.writeU64(fnv1aHash(Frame.bytes().data(), Frame.size()));
@@ -172,12 +239,9 @@ bool Journal::appendFrame(bool IsCheckpoint) {
       DurableBytes += Frame.size();
       break;
     }
+    restoreTail();
     std::string Msg = "journal append to '" + Path +
                       "' failed: " + errnoText(Errno);
-    if (!restoreTail()) {
-      setError(Msg + " (and tail restoration failed; journal poisoned)");
-      return false;
-    }
     bool Transient = Errno == EINTR || Errno == EAGAIN;
     if (!Transient || Attempt >= Opts.MaxRetries) {
       setError(std::move(Msg));
@@ -193,11 +257,10 @@ bool Journal::appendFrame(bool IsCheckpoint) {
                             ++EventsSinceSync >= Opts.SyncEveryEvents;
   if (WantSync) {
     EventsSinceSync = 0;
-    errno = 0;
-    if (FileSys::syncFile(FailSite::JournalSync, F) != 0) {
-      // The record reached the OS (flush succeeded) but its on-disk
-      // durability is not guaranteed; report the append as failed so the
-      // policy layer can decide. The boundary invariant is intact.
+    if (!sync()) {
+      // The record reached the OS (it is in the page cache) but its
+      // on-disk durability is not guaranteed; report the append as failed
+      // so the policy layer can decide. The boundary invariant is intact.
       setError("journal fsync of '" + Path + "' failed: " + errnoText(errno));
       return false;
     }
@@ -227,6 +290,8 @@ JournalRecovery monsem::recoverJournal(const std::string &Path,
     return R;
   R.Opened = true;
   size_t Pos = scanJournalBytes(Bytes, &R, TailLimit);
-  R.TornBytes = Bytes.size() - Pos;
+  bool Slack = std::all_of(Bytes.begin() + static_cast<ptrdiff_t>(Pos),
+                           Bytes.end(), [](uint8_t B) { return B == 0; });
+  R.TornBytes = Slack ? 0 : Bytes.size() - Pos;
   return R;
 }

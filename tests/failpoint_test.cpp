@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
@@ -413,20 +414,23 @@ TEST(DurabilityPolicy, ParseAndNameRoundTrip) {
 // Crash-point enumeration: every byte-prefix truncation of a journal
 //===----------------------------------------------------------------------===//
 
-// Satellite 4: build a journal with >= 3 events and >= 2 checkpoints, then
-// replay recovery against *every* prefix truncation. Invariants: recovery
-// never returns a corrupt record, never drops a fully-flushed record, and
-// reopening at any truncation point leaves an appendable journal.
+// Build a journal with >= 3 events and >= 2 checkpoints, then replay
+// recovery against *every* prefix truncation. Invariants: recovery never
+// returns a corrupt record, never drops a completed record, and reopening
+// at any truncation point leaves an appendable journal.
 TEST(CrashEnumeration, EveryPrefixTruncationRecoversTheValidPrefix) {
   std::string Path = tempPath("fp_enum.journal");
   std::string Err;
   Checkpoint CK = makeTestCheckpoint();
-  // Interleave events and checkpoints; record the byte offset and expected
-  // state after each complete record.
+  // Interleave events and checkpoints; record the durable offset, the
+  // expected state and the live file after each complete record. The
+  // offset comes from the handle: while it is open the file also holds
+  // the zero slack of its mapped window.
   struct Mark {
-    size_t Bytes;          // Journal size after this record.
+    size_t Bytes;          // durableBytes() after this record.
     uint64_t Events;       // Complete events so far.
     bool HasCheckpoint;    // A checkpoint record is fully on disk.
+    std::vector<uint8_t> Live; // The file as a reader saw it then.
   };
   std::vector<Mark> Marks;
   {
@@ -435,7 +439,8 @@ TEST(CrashEnumeration, EveryPrefixTruncationRecoversTheValidPrefix) {
     uint64_t Events = 0;
     bool HasCK = false;
     auto Note = [&]() {
-      Marks.push_back(Mark{readAll(Path).size(), Events, HasCK});
+      Marks.push_back(Mark{static_cast<size_t>(J->durableBytes()), Events,
+                           HasCK, readAll(Path)});
     };
     ASSERT_TRUE(J->appendEvent(1, "alpha"));
     ++Events;
@@ -458,7 +463,19 @@ TEST(CrashEnumeration, EveryPrefixTruncationRecoversTheValidPrefix) {
   std::vector<uint8_t> Full = readAll(Path);
   ASSERT_EQ(Full.size(), Marks.back().Bytes);
   ASSERT_GE(Marks.back().Events, 3u);
+  // While open, the file held exactly the records appended so far (a
+  // prefix of the closed file), followed by nothing but zero slack.
+  for (const Mark &M : Marks) {
+    ASSERT_GE(M.Live.size(), M.Bytes) << "mark at " << M.Bytes;
+    EXPECT_TRUE(std::equal(M.Live.begin(), M.Live.begin() + M.Bytes,
+                           Full.begin()))
+        << "mark at " << M.Bytes;
+    EXPECT_TRUE(std::all_of(M.Live.begin() + M.Bytes, M.Live.end(),
+                            [](uint8_t B) { return B == 0; }))
+        << "mark at " << M.Bytes;
+  }
 
+  const Mark Empty{0, 0, false, {}};
   for (size_t Cut = 0; Cut <= Full.size(); ++Cut) {
     std::vector<uint8_t> Prefix(Full.begin(), Full.begin() + Cut);
     writeAll(Path, Prefix);
@@ -466,14 +483,14 @@ TEST(CrashEnumeration, EveryPrefixTruncationRecoversTheValidPrefix) {
     ASSERT_TRUE(R.Opened) << "cut " << Cut;
 
     // The expected state is the last mark at or before the cut.
-    Mark Want{0, 0, false};
+    const Mark *Want = &Empty;
     for (const Mark &M : Marks)
       if (M.Bytes <= Cut)
-        Want = M;
-    EXPECT_EQ(R.TotalEvents, Want.Events) << "cut " << Cut;
-    EXPECT_EQ(!R.LastCheckpoint.empty(), Want.HasCheckpoint)
+        Want = &M;
+    EXPECT_EQ(R.TotalEvents, Want->Events) << "cut " << Cut;
+    EXPECT_EQ(!R.LastCheckpoint.empty(), Want->HasCheckpoint)
         << "cut " << Cut;
-    EXPECT_EQ(R.TornBytes, Cut - Want.Bytes) << "cut " << Cut;
+    EXPECT_EQ(R.TornBytes, Cut - Want->Bytes) << "cut " << Cut;
     // No corrupt record text ever surfaces.
     for (const JournalEvent &E : R.Tail)
       EXPECT_TRUE(E.Text == "alpha" || E.Text == "beta" ||
@@ -494,7 +511,7 @@ TEST(CrashEnumeration, EveryPrefixTruncationRecoversTheValidPrefix) {
     J.reset();
     JournalRecovery After = recoverJournal(Path);
     EXPECT_EQ(After.TornBytes, 0u) << "cut " << Cut;
-    EXPECT_EQ(After.TotalEvents, Want.Events + 1) << "cut " << Cut;
+    EXPECT_EQ(After.TotalEvents, Want->Events + 1) << "cut " << Cut;
     EXPECT_EQ(After.Tail.back().Text, "appended-after-crash")
         << "cut " << Cut;
   }
